@@ -212,6 +212,8 @@ BENCHMARK(BM_MonteCarloPerInterval);
 
 // Sharded Monte Carlo: intervals split across `threads` shards, each on
 // its own RNG stream (results deterministic in (seed, shard count)).
+// Timed on the wall clock: the shards run on worker threads, so the
+// main thread's CPU time would overstate the throughput.
 void BM_MonteCarloPerIntervalSharded(benchmark::State& state) {
   const net::TypicalNetwork t = net::make_typical_network();
   sim::SimulatorConfig config;
@@ -225,7 +227,12 @@ void BM_MonteCarloPerIntervalSharded(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_MonteCarloPerIntervalSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_MonteCarloPerIntervalSharded)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
 
 // Observability overhead on a real workload: the forward solve under
 // each layer of the subsystem.  Args are {metrics, event_log, sampler}:

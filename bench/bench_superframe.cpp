@@ -1,9 +1,11 @@
-// Superframe-product kernel vs per-slot transient recursion
+// Dense firing-only cycle collapse vs per-slot transient recursion
 // (google-benchmark).  Every workload runs under both kernels with the
 // kernel selector as the LAST benchmark argument (0 = kPerSlot,
 // 1 = kSuperframeProduct), so tools/check_bench_regression.py can pair
 // .../0 against .../1 and assert the collapse speedup, and compare runs
-// against the committed BENCH_superframe.json baseline.
+// against the committed BENCH_superframe.json baseline.  The per-slot
+// arm BM_PathSolve/3/4/0 is the calibration: the per-slot walk is the
+// reference solver, not the code under test.
 //
 // All network solves are cold-cache (no PathAnalysisCache, one thread):
 // the point is the raw solver cost, not memoization.
@@ -13,9 +15,6 @@
 
 #include "whart/hart/network_analysis.hpp"
 #include "whart/hart/path_model.hpp"
-#include "whart/linalg/matrix.hpp"
-#include "whart/markov/superframe_kernel.hpp"
-#include "whart/markov/transient.hpp"
 #include "whart/net/plant_generator.hpp"
 #include "whart/net/typical_network.hpp"
 
@@ -101,49 +100,17 @@ void BM_GeneratedPlantSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneratedPlantSolve)->Args({64, 0})->Args({64, 1});
 
-// Product build cost in isolation: what the kernel amortizes.
-void BM_KernelBuild(benchmark::State& state) {
+// Cycle-matrix build cost in isolation: what the collapse amortizes.
+void BM_CycleMatrix(benchmark::State& state) {
   const auto hops = static_cast<std::uint32_t>(state.range(0));
-  const hart::PathModel model(path_config(hops, 20, 4));
+  const hart::PathModelConfig config = path_config(hops, 20, 4);
   const hart::SteadyStateLinks links(
       hops, link::LinkModel::from_availability(0.83));
   for (auto _ : state) {
-    markov::SuperframeKernel kernel(model.slot_matrices(links));
-    benchmark::DoNotOptimize(kernel.cycle_product().nonzeros());
+    benchmark::DoNotOptimize(hart::cycle_matrix(config, links)(0, 0));
   }
 }
-BENCHMARK(BM_KernelBuild)->Arg(3)->Arg(8);
-
-// Batched multi-initial-state transient: Args are (batch rows, kernel
-// 0 = row-by-row distribution_after, 1 = cache-blocked batch).
-void BM_BatchedTransient(benchmark::State& state) {
-  const hart::PathModel model(path_config(4, 20, 4));
-  const hart::SteadyStateLinks links(
-      4, link::LinkModel::from_availability(0.83));
-  const markov::SuperframeKernel kernel(model.slot_matrices(links));
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const std::size_t dim = kernel.dimension();
-  linalg::Matrix initials(rows, dim);
-  for (std::size_t r = 0; r < rows; ++r) initials(r, r % dim) = 1.0;
-  const std::uint64_t steps = 3 * kernel.period() + 5;
-  if (state.range(1) != 0) {
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(
-          markov::distributions_after_periodic(kernel, initials, steps));
-    }
-  } else {
-    for (auto _ : state) {
-      double sink = 0.0;
-      for (std::size_t r = 0; r < rows; ++r) {
-        linalg::Vector row(dim);
-        for (std::size_t c = 0; c < dim; ++c) row[c] = initials(r, c);
-        sink += markov::distribution_after_periodic(kernel, row, steps)[0];
-      }
-      benchmark::DoNotOptimize(sink);
-    }
-  }
-}
-BENCHMARK(BM_BatchedTransient)->Args({64, 0})->Args({64, 1});
+BENCHMARK(BM_CycleMatrix)->Arg(3)->Arg(8);
 
 }  // namespace
 

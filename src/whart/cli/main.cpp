@@ -8,14 +8,16 @@
 //   cat spec | whart_cli - [options]
 //
 // Options:
-//   --interval <Is>      override the reporting interval
-//   --simulate <N>       Monte-Carlo cross-check over N intervals
+//   --interval <Is>      override the reporting interval (Is >= 1)
+//   --simulate <N>       Monte-Carlo cross-check over N >= 1 intervals
 //   --energy             per-node energy / battery-life report
 //   --stability <R>      assess every path against a target reachability
+//                        R in (0, 1]
 //   --csv <file>         export per-path measures as CSV
 //   --sweep <file>       export an availability sweep (0.65..0.99) of the
 //                        worst path as CSV (reachability, delay, jitter)
-//   --shards <n>         Monte-Carlo shards (deterministic per shard count)
+//   --shards <n>         Monte-Carlo shards, n >= 1 (deterministic per
+//                        shard count)
 //   --channel <spec>     correlated burst-loss channel overlay:
 //                        iid | ge:pgb,pbg,eg,eb | chain:<file>.  Every
 //                        hop runs the overlay rescaled to its own
@@ -23,29 +25,17 @@
 //                        the channel-enlarged DTMC, --simulate draws
 //                        from the same chains (kChannel regime) and
 //                        --sweep evaluates its grid under the overlay
-//   --kernel <name>      transient solver: per-slot (default) or
-//                        superframe (superframe-product collapse; same
-//                        results to rounding, faster for long intervals)
-//   --reuse-skeleton     share the symbolic solve phase between paths of
-//                        identical schedule shape and across sweep grid
-//                        points (default; bitwise-identical results)
-//   --no-reuse-skeleton  rebuild every solve from scratch (the
-//                        differential oracle's baseline path)
-//   --batch-lanes <n>    SoA batch width of the --sweep grid: same-shape
-//                        sweep points refill and solve n lanes at a time
-//                        through the vectorized batch core (DESIGN.md
-//                        §13; 1 = scalar refills, requires
-//                        --reuse-skeleton; sweep values agree with
-//                        scalar to rounding)
+//   --kernel <name>      transient solver: superframe (default; the
+//                        dense firing-only cycle collapse) or per-slot
+//                        (the Eq. 5 walk; same results to rounding)
 //   --what-if link=<id>:<pfl>
-//                        incremental what-if (DESIGN.md §15): re-evaluate
-//                        the network with link <id>'s per-slot failure
+//                        what-if (DESIGN.md §11): re-evaluate the
+//                        network with link <id>'s per-slot failure
 //                        probability set to <pfl> (its recovery
 //                        probability kept), re-solving only the paths
-//                        scheduled over that link through the cached
-//                        cycle products; prints the affected paths'
-//                        measure deltas and the new network summary.
-//                        Not available together with --channel
+//                        scheduled over that link; prints the affected
+//                        paths' measure deltas and the new network
+//                        summary.  Not available together with --channel
 
 //   --metrics[=<file>]   dump the metrics-registry snapshot as JSON
 //                        (default file: whart_metrics.json)
@@ -57,11 +47,15 @@
 //                        sampler, then writes metrics.json, trace.json,
 //                        events.jsonl, metrics.prom and timeseries.csv
 //                        into <dir> (created if missing)
+#include <charconv>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "whart/cli/spec_parser.hpp"
@@ -84,27 +78,38 @@ namespace {
 using whart::report::Table;
 
 struct Options {
-  std::uint64_t simulate_intervals = 0;
-  std::uint32_t interval_override = 0;
+  std::uint64_t simulate_intervals = 0;  // 0 = no Monte-Carlo cross-check
+  std::optional<std::uint32_t> interval_override;
   bool energy = false;
   double stability_target = 0.0;  // 0 = off
   std::string csv_path;
   std::string sweep_path;
-  std::uint64_t shards = 0;  // 0 = simulator default
+  std::uint32_t shards = 0;  // 0 = simulator default
   std::string channel_spec;  // empty = per-slot-independent links
   std::string metrics_path;
   std::string trace_path;
   std::string obs_dir;
   whart::hart::TransientKernel kernel =
-      whart::hart::TransientKernel::kPerSlot;
-  bool reuse_skeleton = true;
-  std::size_t batch_lanes = 1;
+      whart::hart::TransientKernel::kSuperframeProduct;
   std::string what_if_spec;  // "link=<id>:<pfl>", empty = off
-  // Whether the flags --channel silently bypasses were passed explicitly
-  // (the combination earns a warning and a `cli.ignored_flags` count).
-  bool batch_lanes_set = false;
-  bool reuse_flag_set = false;
 };
+
+/// Strict numeric flag value: the whole of `text` must parse as a T
+/// (no sign on unsigned types, no trailing characters) and lie in
+/// [low, high]; anything else throws with the flag's name.
+template <typename T>
+T parse_number(const std::string& flag, const char* text, T low, T high) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc{} || stop != end || text == end || !(value >= low) ||
+      !(value <= high))
+    throw std::invalid_argument(flag + " expects a number in [" +
+                                std::to_string(low) + ", " +
+                                std::to_string(high) + "], got '" + text +
+                                "'");
+  return value;
+}
 
 int usage() {
   std::cerr << "usage: whart_cli <spec-file>|-|--typical "
@@ -112,9 +117,8 @@ int usage() {
                "[--stability <targetR>] [--csv <file>] [--sweep <file>] "
                "[--shards <n>] "
                "[--channel iid|ge:pgb,pbg,eg,eb|chain:<file>] "
-               "[--kernel per-slot|superframe] "
-               "[--reuse-skeleton|--no-reuse-skeleton] "
-               "[--batch-lanes <n>] [--what-if link=<id>:<pfl>] "
+               "[--kernel superframe|per-slot] "
+               "[--what-if link=<id>:<pfl>] "
                "[--metrics[=<file>]] [--trace[=<file>]] "
                "[--obs-dir=<dir>]\n";
   return 2;
@@ -195,8 +199,8 @@ void write_csv(const whart::cli::ParsedSpec& spec,
 }
 
 /// The --what-if mode: re-evaluate the network with one link's failure
-/// probability moved to the requested value, through the incremental
-/// engine (DESIGN.md §15) — only paths scheduled over the link re-solve.
+/// probability moved to the requested value, through the what-if engine
+/// (DESIGN.md §11) — only paths scheduled over the link re-solve.
 void print_what_if(const whart::cli::ParsedSpec& spec,
                    const whart::net::Schedule& schedule,
                    const Options& options) {
@@ -207,9 +211,13 @@ void print_what_if(const whart::cli::ParsedSpec& spec,
   const std::size_t colon = raw.find(':', 5);
   if (colon == std::string::npos || colon == 5)
     throw std::runtime_error(std::string(expected) + ", got '" + raw + "'");
-  const whart::net::LinkId link{
-      static_cast<std::uint32_t>(std::stoul(raw.substr(5, colon - 5)))};
-  const double pfl = std::stod(raw.substr(colon + 1));
+  const std::string id_text = raw.substr(5, colon - 5);
+  const std::string pfl_text = raw.substr(colon + 1);
+  const whart::net::LinkId link{parse_number<std::uint32_t>(
+      "--what-if link id", id_text.c_str(), 0,
+      std::numeric_limits<std::uint32_t>::max())};
+  const double pfl =
+      parse_number<double>("--what-if pfl", pfl_text.c_str(), 0.0, 1.0);
   if (link.value >= spec.network.link_count())
     throw std::runtime_error("--what-if: unknown link id " +
                              std::to_string(link.value));
@@ -275,33 +283,13 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
   if (!options.channel_spec.empty())
     channel = whart::link::ChannelModel::parse(options.channel_spec);
 
-  // --channel routes every solve through the channel-enlarged DTMC,
-  // which has no skeleton-reuse or batched-refill path; flags asking for
-  // those would otherwise be swallowed silently.
-  if (channel.has_value()) {
-    std::uint64_t ignored = 0;
-    if (options.batch_lanes_set) {
-      std::cerr << "whart_cli: warning: --batch-lanes is ignored with "
-                   "--channel (channel-enlarged solves have no batch "
-                   "path)\n";
-      ++ignored;
-    }
-    if (options.reuse_flag_set) {
-      std::cerr << "whart_cli: warning: --reuse-skeleton/--no-reuse-skeleton "
-                   "is ignored with --channel (channel-enlarged solves "
-                   "rebuild from scratch)\n";
-      ++ignored;
-    }
-    if (ignored > 0) WHART_COUNT_N("cli.ignored_flags", ignored);
-  }
   if (channel.has_value() && !options.what_if_spec.empty())
     throw std::runtime_error(
         "--what-if is not available together with --channel (the "
-        "incremental engine caches slot-independent cycle products)");
+        "what-if engine caches i.i.d. link availabilities)");
 
   whart::hart::AnalysisOptions analysis_options;
   analysis_options.kernel = options.kernel;
-  analysis_options.reuse_skeleton = options.reuse_skeleton;
   analysis_options.channel = channel;
   const whart::hart::NetworkMeasures measures = whart::hart::analyze_network(
       spec.network, spec.paths, schedule, spec.superframe,
@@ -367,8 +355,7 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
     sim_config.superframe = spec.superframe;
     sim_config.reporting_interval = spec.reporting_interval;
     sim_config.intervals = simulate_intervals;
-    if (options.shards > 0)
-      sim_config.shards = static_cast<std::uint32_t>(options.shards);
+    if (options.shards > 0) sim_config.shards = options.shards;
     if (channel.has_value()) {
       sim_config.regime = whart::sim::LinkRegime::kChannel;
       sim_config.channel = channel;
@@ -403,7 +390,6 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
             schedule, worst, spec.superframe, spec.reporting_interval);
     const whart::hart::SweepSeries series = whart::hart::sweep_availability(
         config, whart::hart::linspace(0.65, 0.99, 18), 0, options.kernel,
-        options.reuse_skeleton, options.batch_lanes,
         channel.has_value() ? &*channel : nullptr);
     std::ofstream file(options.sweep_path);
     if (!file)
@@ -439,8 +425,9 @@ void write_observability(const Options& options) {
     std::ofstream file(options.trace_path);
     if (!file)
       throw std::runtime_error("cannot write '" + options.trace_path + "'");
-    whart::report::write_chrome_trace_json(
-        file, obs::TraceCollector::instance().events());
+    const obs::TraceCollector& collector = obs::TraceCollector::instance();
+    whart::report::write_chrome_trace_json(file, collector.events(),
+                                           collector.flows());
     std::cout << "\nSpan aggregates:\n";
     whart::report::print_span_table(std::cout, spans);
     std::cout << "wrote Chrome trace to " << options.trace_path << "\n";
@@ -454,57 +441,60 @@ int main(int argc, char** argv) {
 
   std::string source = argv[1];
   Options options;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--simulate" && i + 1 < argc)
-      options.simulate_intervals = std::stoull(argv[++i]);
-    else if (arg == "--interval" && i + 1 < argc)
-      options.interval_override =
-          static_cast<std::uint32_t>(std::stoul(argv[++i]));
-    else if (arg == "--energy")
-      options.energy = true;
-    else if (arg == "--stability" && i + 1 < argc)
-      options.stability_target = std::stod(argv[++i]);
-    else if (arg == "--csv" && i + 1 < argc)
-      options.csv_path = argv[++i];
-    else if (arg == "--sweep" && i + 1 < argc)
-      options.sweep_path = argv[++i];
-    else if (arg == "--shards" && i + 1 < argc)
-      options.shards = std::stoull(argv[++i]);
-    else if (arg == "--channel" && i + 1 < argc)
-      options.channel_spec = argv[++i];
-    else if (arg == "--kernel" && i + 1 < argc) {
-      const std::string name = argv[++i];
-      if (name == "per-slot")
-        options.kernel = whart::hart::TransientKernel::kPerSlot;
-      else if (name == "superframe")
-        options.kernel = whart::hart::TransientKernel::kSuperframeProduct;
+  try {
+    using Limits32 = std::numeric_limits<std::uint32_t>;
+    using Limits64 = std::numeric_limits<std::uint64_t>;
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--simulate" && i + 1 < argc)
+        options.simulate_intervals = parse_number<std::uint64_t>(
+            arg, argv[++i], 1, Limits64::max());
+      else if (arg == "--interval" && i + 1 < argc)
+        options.interval_override = parse_number<std::uint32_t>(
+            arg, argv[++i], 1, Limits32::max());
+      else if (arg == "--energy")
+        options.energy = true;
+      else if (arg == "--stability" && i + 1 < argc) {
+        options.stability_target =
+            parse_number<double>(arg, argv[++i], 0.0, 1.0);
+        if (options.stability_target == 0.0)
+          throw std::invalid_argument(
+              "--stability expects a target reachability in (0, 1]");
+      } else if (arg == "--csv" && i + 1 < argc)
+        options.csv_path = argv[++i];
+      else if (arg == "--sweep" && i + 1 < argc)
+        options.sweep_path = argv[++i];
+      else if (arg == "--shards" && i + 1 < argc)
+        options.shards =
+            parse_number<std::uint32_t>(arg, argv[++i], 1, Limits32::max());
+      else if (arg == "--channel" && i + 1 < argc)
+        options.channel_spec = argv[++i];
+      else if (arg == "--kernel" && i + 1 < argc) {
+        const std::string name = argv[++i];
+        if (name == "per-slot")
+          options.kernel = whart::hart::TransientKernel::kPerSlot;
+        else if (name == "superframe")
+          options.kernel = whart::hart::TransientKernel::kSuperframeProduct;
+        else
+          return usage();
+      } else if (arg == "--what-if" && i + 1 < argc)
+        options.what_if_spec = argv[++i];
+      else if (arg == "--metrics")
+        options.metrics_path = "whart_metrics.json";
+      else if (arg.rfind("--metrics=", 0) == 0)
+        options.metrics_path = arg.substr(10);
+      else if (arg == "--trace")
+        options.trace_path = "whart_trace.json";
+      else if (arg.rfind("--trace=", 0) == 0)
+        options.trace_path = arg.substr(8);
+      else if (arg.rfind("--obs-dir=", 0) == 0)
+        options.obs_dir = arg.substr(10);
       else
         return usage();
     }
-    else if (arg == "--reuse-skeleton") {
-      options.reuse_skeleton = true;
-      options.reuse_flag_set = true;
-    } else if (arg == "--no-reuse-skeleton") {
-      options.reuse_skeleton = false;
-      options.reuse_flag_set = true;
-    } else if (arg == "--batch-lanes" && i + 1 < argc) {
-      options.batch_lanes = std::stoull(argv[++i]);
-      options.batch_lanes_set = true;
-    } else if (arg == "--what-if" && i + 1 < argc)
-      options.what_if_spec = argv[++i];
-    else if (arg == "--metrics")
-      options.metrics_path = "whart_metrics.json";
-    else if (arg.rfind("--metrics=", 0) == 0)
-      options.metrics_path = arg.substr(10);
-    else if (arg == "--trace")
-      options.trace_path = "whart_trace.json";
-    else if (arg.rfind("--trace=", 0) == 0)
-      options.trace_path = arg.substr(8);
-    else if (arg.rfind("--obs-dir=", 0) == 0)
-      options.obs_dir = arg.substr(10);
-    else
-      return usage();
+  } catch (const std::exception& error) {
+    std::cerr << "whart_cli: " << error.what() << "\n";
+    return 2;
   }
   if (!options.trace_path.empty()) {
     whart::common::obs::set_trace_enabled(true);
@@ -537,8 +527,8 @@ int main(int argc, char** argv) {
       }
       spec = whart::cli::parse_spec(file);
     }
-    if (options.interval_override > 0)
-      spec.reporting_interval = options.interval_override;
+    if (options.interval_override.has_value())
+      spec.reporting_interval = *options.interval_override;
     print_analysis(spec, options);
     if (obs_session) obs_session->finish();
     write_observability(options);

@@ -23,10 +23,8 @@
 //                        the GE row of the CI fuzz matrix)
 //   --inject <fault>     corrupt the production leg on purpose:
 //                        link-bias | discard-leak | cycle-shift |
-//                        product-entry | stale-skeleton-value |
-//                        lane-swap | channel-state-leak |
-//                        stale-product-row (a healthy harness must
-//                        then FAIL)
+//                        product-entry | channel-state-leak (a
+//                        healthy harness must then FAIL)
 //   --metrics[=<file>]   dump the obs metrics snapshot as JSON
 //                        (default file: whart_verify_metrics.json)
 //   --obs-dir=<dir>      full observability bundle (metrics.json,
@@ -54,8 +52,7 @@ int usage() {
                "[--intervals <n>] [--shards <n>] [--threads <n>] "
                "[--channel-prob <p>] "
                "[--inject link-bias|discard-leak|cycle-shift|product-entry|"
-               "stale-skeleton-value|lane-swap|channel-state-leak|"
-               "stale-product-row] "
+               "channel-state-leak] "
                "[--metrics[=<file>]] [--obs-dir=<dir>]\n";
   return 2;
 }
@@ -121,17 +118,9 @@ int main(int argc, char** argv) {
           config.oracle.injection = whart::verify::Injection::kCycleShift;
         else if (fault == "product-entry")
           config.oracle.injection = whart::verify::Injection::kProductEntry;
-        else if (fault == "stale-skeleton-value")
-          config.oracle.injection =
-              whart::verify::Injection::kStaleSkeletonValue;
-        else if (fault == "lane-swap")
-          config.oracle.injection = whart::verify::Injection::kLaneSwap;
         else if (fault == "channel-state-leak")
           config.oracle.injection =
               whart::verify::Injection::kChannelStateLeak;
-        else if (fault == "stale-product-row")
-          config.oracle.injection =
-              whart::verify::Injection::kStaleProductRow;
         else
           return usage();
       } else if (arg == "--metrics") {

@@ -123,86 +123,4 @@ auto parallel_map(const std::vector<T>& items, Fn&& fn, unsigned threads = 0)
   return results;
 }
 
-/// A pool of reusable default-constructed workspaces, leased one per
-/// task so warm scratch buffers survive across loop iterations instead
-/// of being reallocated — the allocation-free half of the
-/// symbolic/numeric split's hot sweep loop.  acquire() reuses an idle
-/// workspace when one exists and creates a new one otherwise, so the
-/// pool grows to the peak number of concurrent lessees (published as the
-/// `parallel.workspace_pool.size` gauge) and never beyond.
-template <typename T>
-class WorkspacePool {
- public:
-  /// RAII lease: returns the workspace to the pool on destruction.
-  class Lease {
-   public:
-    Lease(Lease&& other) noexcept
-        : pool_(std::exchange(other.pool_, nullptr)),
-          item_(std::move(other.item_)) {}
-    Lease& operator=(Lease&& other) noexcept {
-      if (this != &other) {
-        release();
-        pool_ = std::exchange(other.pool_, nullptr);
-        item_ = std::move(other.item_);
-      }
-      return *this;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() { release(); }
-
-    [[nodiscard]] T& operator*() noexcept { return *item_; }
-    [[nodiscard]] T* operator->() noexcept { return item_.get(); }
-
-   private:
-    friend class WorkspacePool;
-    Lease(WorkspacePool* pool, std::unique_ptr<T> item) noexcept
-        : pool_(pool), item_(std::move(item)) {}
-    void release() noexcept {
-      if (pool_ != nullptr && item_ != nullptr)
-        pool_->release(std::move(item_));
-      pool_ = nullptr;
-    }
-
-    WorkspacePool* pool_ = nullptr;
-    std::unique_ptr<T> item_;
-  };
-
-  WorkspacePool() = default;
-  WorkspacePool(const WorkspacePool&) = delete;
-  WorkspacePool& operator=(const WorkspacePool&) = delete;
-
-  [[nodiscard]] Lease acquire() {
-    std::unique_ptr<T> item;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!idle_.empty()) {
-        item = std::move(idle_.back());
-        idle_.pop_back();
-      } else {
-        ++created_;
-        WHART_GAUGE_SET("parallel.workspace_pool.size", created_);
-      }
-    }
-    if (item == nullptr) item = std::make_unique<T>();
-    return Lease(this, std::move(item));
-  }
-
-  /// Workspaces ever created (== peak concurrent leases).
-  [[nodiscard]] std::size_t created() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return created_;
-  }
-
- private:
-  void release(std::unique_ptr<T> item) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(std::move(item));
-  }
-
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<T>> idle_;
-  std::size_t created_ = 0;
-};
-
 }  // namespace whart::common

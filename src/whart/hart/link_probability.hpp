@@ -31,8 +31,8 @@ class LinkProbabilityProvider {
 
   /// True when up_probability is independent of the absolute slot, so
   /// every superframe cycle sees identical per-slot transition matrices
-  /// — the precondition of the superframe-product transient kernel
-  /// (markov::SuperframeKernel).  Providers whose probabilities evolve
+  /// — the precondition of the dense cycle collapse
+  /// (hart::analyze_collapsed).  Providers whose probabilities evolve
   /// over time (transient links, scripted failures) must keep the
   /// default false; PathModel then falls back to the per-slot solve.
   [[nodiscard]] virtual bool cycle_stationary() const { return false; }
@@ -126,10 +126,8 @@ class TransientLinks final : public LinkProbabilityProvider {
 /// each window, steady state before the first window, transient recovery
 /// from DOWN afterwards.
 /// True when any of the first `hops` hops of `links` carries a
-/// multi-state channel — the condition under which PathModel enlarges
-/// its DTMC state space (and skeleton/batch refills fall back to fresh
-/// solves, since the enlarged shape is not the one their patterns were
-/// captured for).
+/// multi-state channel — the condition under which the path solvers
+/// enlarge the DTMC state space by the channel states.
 [[nodiscard]] bool channel_enlarged(const LinkProbabilityProvider& links,
                                     std::size_t hops);
 

@@ -4,9 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "whart/common/contracts.hpp"
@@ -35,25 +32,8 @@ NetworkMeasures analyze_network(const net::Network& network,
   for (std::size_t p = 0; p < paths.size(); ++p)
     configs[p] = PathModelConfig::from_schedule(schedule, p, superframe,
                                                 reporting_interval);
-
-  // Cacheless skeleton sharing: group paths by schedule shape in a
-  // serial pre-pass so each shape runs its symbolic phase exactly once;
-  // the map is read-only during the parallel fan-out.  (With a cache the
-  // cache's own skeleton store plays this role.)
-  std::vector<std::string> shape_keys(paths.size());
-  std::unordered_map<std::string, std::shared_ptr<const PathModelSkeleton>>
-      skeletons;
-  if (cache == nullptr && options.reuse_skeleton &&
-      !options.channel.has_value()) {
-    for (std::size_t p = 0; p < paths.size(); ++p) {
-      shape_keys[p] =
-          PathAnalysisCache::skeleton_fingerprint(configs[p], options.kernel);
-      auto& slot = skeletons[shape_keys[p]];
-      if (slot == nullptr)
-        slot = std::make_shared<const PathModelSkeleton>(configs[p]);
-    }
-  }
-  common::WorkspacePool<SolveWorkspace> workspaces;
+  PathAnalysisOptions path_options;
+  path_options.kernel = options.kernel;
 
   std::vector<PathMeasures> per_path(paths.size());
   common::parallel_for(
@@ -66,38 +46,21 @@ NetworkMeasures analyze_network(const net::Network& network,
           availability.push_back(model.steady_state_availability());
         if (options.channel.has_value()) {
           // Channel-enlarged solve: each hop runs the overlay rescaled to
-          // its own availability, and neither the cache nor the skeleton
-          // store applies (both key the i.i.d. shape).
+          // its own availability; the cache keys the i.i.d. chain and
+          // does not apply.
           std::vector<link::ChannelModel> channels;
           channels.reserve(availability.size());
           for (double a : availability)
             channels.push_back(options.channel->with_marginal_success(a));
-          const PathModel model(config);
           const ChannelLinks links(std::move(channels));
-          PathAnalysisOptions path_options;
-          path_options.kernel = options.kernel;
-          per_path[p] = compute_path_measures(model, links, path_options);
+          per_path[p] = measures_from_transient(
+              config, analyze_path(config, links, path_options));
         } else if (cache != nullptr) {
-          per_path[p] = cache->measures(config, availability, options.kernel,
-                                        options.reuse_skeleton);
-        } else if (options.reuse_skeleton) {
-          const PathModelSkeleton& skeleton = *skeletons.at(shape_keys[p]);
-          const SteadyStateLinks links(std::move(availability));
-          PathAnalysisOptions path_options;
-          path_options.kernel = options.kernel;
-          auto workspace = workspaces.acquire();
-          skeleton.analyze_into(links, path_options, *workspace,
-                                workspace->scratch_result);
-          // The transient depends only on the shape the skeleton keys;
-          // measures re-derive from this path's own config.
-          per_path[p] =
-              measures_from_transient(config, workspace->scratch_result);
+          per_path[p] = cache->measures(config, availability, options.kernel);
         } else {
-          const PathModel model(config);
           const SteadyStateLinks links(std::move(availability));
-          PathAnalysisOptions path_options;
-          path_options.kernel = options.kernel;
-          per_path[p] = compute_path_measures(model, links, path_options);
+          per_path[p] = measures_from_transient(
+              config, analyze_path(config, links, path_options));
         }
       },
       options.threads);

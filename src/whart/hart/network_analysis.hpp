@@ -35,27 +35,20 @@ struct AnalysisOptions {
   /// the call.
   PathAnalysisCache* cache = nullptr;
 
-  /// Transient solver for the per-path solves.  Steady-state links (the
-  /// only regime this entry point uses) satisfy the superframe-product
-  /// kernel's cycle-stationarity precondition, so the choice is purely a
+  /// Transient solver for the per-path solves.  Steady-state links (and
+  /// the stationary-start channel overlay) satisfy the collapse's
+  /// cycle-stationarity precondition, so the choice is purely a
   /// speed/rounding trade-off; measures agree to ~1e-12.
-  TransientKernel kernel = TransientKernel::kPerSlot;
-
-  /// Share the symbolic solve phase between paths of identical schedule
-  /// shape (DESIGN.md §12): paths with equal skeleton fingerprints run
-  /// Algorithm 1 once and each perform only a numeric refill.  Bitwise
-  /// identical to fresh per-path solves; off is the differential
-  /// oracle's baseline.  Forwarded to the cache when one is in use.
-  bool reuse_skeleton = true;
+  TransientKernel kernel = TransientKernel::kSuperframeProduct;
 
   /// Correlated-channel overlay.  When set, every hop of every path runs
   /// this channel rescaled so its stationary marginal success equals the
   /// hop's steady-state availability (ChannelModel::with_marginal_success)
   /// and the per-path solves go through the channel-enlarged DTMC
-  /// (hart/path_model_channel.cpp).  Channel paths always solve fresh:
-  /// the cache and the skeleton store key the i.i.d. shape, not the
-  /// enlarged one, so neither is consulted.  A one-state (i.i.d.)
-  /// channel reproduces the plain analysis to rounding.
+  /// (DESIGN.md §12).  Channel paths always solve fresh: the cache keys
+  /// the i.i.d. chain, not the enlarged one, so it is not consulted.  A
+  /// one-state (i.i.d.) channel reproduces the plain analysis to
+  /// rounding.
   std::optional<link::ChannelModel> channel;
 };
 

@@ -81,9 +81,9 @@ PathMeasures compute_path_measures(const PathModel& model,
 
 /// Reduce a transient solve to measures — the exact reduction
 /// compute_path_measures applies (measures_from_cycles plus the exact
-/// delivered-only utilization override).  Shared with the skeleton
-/// refill path, so fresh and refilled solves yield bitwise-identical
-/// measures whenever their transients agree bitwise.
+/// delivered-only utilization override).  Shared with the cache, the
+/// sweeps and the what-if engine, so every entry point yields
+/// bitwise-identical measures whenever the transients agree bitwise.
 PathMeasures measures_from_transient(const PathModelConfig& config,
                                      const PathTransientResult& transient);
 

@@ -53,58 +53,34 @@ void append_double_bits(std::string& out, double value) {
 
 }  // namespace
 
-std::string PathAnalysisCache::skeleton_fingerprint(
-    const PathModelConfig& config, TransientKernel kernel) {
-  std::string key;
-  key.push_back(static_cast<char>(kernel));
-  key.reserve(16 + 4 * config.hop_slots.size() +
-              4 * config.retry_slots.size());
-  // The solve depends only on the uplink frame length, the reporting
-  // interval, the effective TTL and the firing pattern — Fdown and the
-  // gateway slot offset enter the *measures*, which are re-derived from
-  // the caller's config on every lookup.
-  append_u32(key, config.superframe.uplink_slots);
-  append_u32(key, config.reporting_interval);
-  append_u32(key, config.effective_ttl());
-  append_u32(key, static_cast<std::uint32_t>(config.hop_slots.size()));
-  for (net::SlotNumber s : config.hop_slots) append_u32(key, s);
-  append_u32(key, static_cast<std::uint32_t>(config.retry_slots.size()));
-  for (net::SlotNumber s : config.retry_slots) append_u32(key, s);
-  return key;
-}
-
 std::string PathAnalysisCache::fingerprint(
     const PathModelConfig& config,
     const std::vector<double>& hop_availability, TransientKernel kernel) {
   const PathModelConfig canonical = canonicalize(config);
-  std::string key = skeleton_fingerprint(canonical, kernel);
-  key.reserve(key.size() + 8 * canonical.hop_count());
+  std::string key;
+  key.push_back(static_cast<char>(kernel));
+  key.reserve(16 + 4 * canonical.hop_slots.size() +
+              4 * canonical.retry_slots.size() + 8 * canonical.hop_count());
+  // The solve depends only on the uplink frame length, the reporting
+  // interval, the effective TTL, the firing pattern and the
+  // availabilities — Fdown and the gateway slot offset enter the
+  // *measures*, which are re-derived from the caller's config on every
+  // lookup.
+  append_u32(key, canonical.superframe.uplink_slots);
+  append_u32(key, canonical.reporting_interval);
+  append_u32(key, canonical.effective_ttl());
+  append_u32(key, static_cast<std::uint32_t>(canonical.hop_slots.size()));
+  for (net::SlotNumber s : canonical.hop_slots) append_u32(key, s);
+  append_u32(key, static_cast<std::uint32_t>(canonical.retry_slots.size()));
+  for (net::SlotNumber s : canonical.retry_slots) append_u32(key, s);
   for (std::size_t h = 0; h < canonical.hop_count(); ++h)
     append_double_bits(key, hop_availability[h]);
   return key;
 }
 
-std::shared_ptr<const PathModelSkeleton> PathAnalysisCache::skeleton_for(
-    const PathModelConfig& canonical, TransientKernel kernel) {
-  const std::string key = skeleton_fingerprint(canonical, kernel);
-  {
-    const std::lock_guard lock(skeleton_mutex_);
-    if (const auto it = skeletons_.find(key); it != skeletons_.end())
-      return it->second;
-  }
-  // Build outside the lock (Algorithm 1 is the expensive part); a
-  // concurrent first-use of the same shape builds twice and the loser's
-  // copy is dropped — benign, mirroring the entry store above.
-  auto built = std::make_shared<const PathModelSkeleton>(canonical);
-  const std::lock_guard lock(skeleton_mutex_);
-  const auto [it, inserted] = skeletons_.emplace(key, std::move(built));
-  return it->second;
-}
-
 PathMeasures PathAnalysisCache::measures(
     const PathModelConfig& config,
-    const std::vector<double>& hop_availability, TransientKernel kernel,
-    bool reuse_skeleton) {
+    const std::vector<double>& hop_availability, TransientKernel kernel) {
   expects(hop_availability.size() >= config.hop_count(),
           "one availability per hop");
 
@@ -139,23 +115,13 @@ PathMeasures PathAnalysisCache::measures(
             static_cast<std::ptrdiff_t>(config.hop_count())));
     PathAnalysisOptions options;
     options.kernel = kernel;
-    const auto store = [&entry](const PathTransientResult& transient) {
-      entry.cycle_probabilities = transient.cycle_probabilities;
-      entry.expected_transmissions = transient.expected_transmissions;
-      entry.expected_transmissions_delivered =
-          transient.expected_transmissions_delivered;
-      entry.diagnostics = transient.diagnostics;
-    };
-    if (reuse_skeleton) {
-      const auto skeleton = skeleton_for(canonicalize(config), kernel);
-      auto workspace = workspaces_.acquire();
-      skeleton->analyze_into(links, options, *workspace,
-                             workspace->scratch_result);
-      store(workspace->scratch_result);
-    } else {
-      const PathModel model(canonicalize(config));
-      store(model.analyze(links, options));
-    }
+    const PathTransientResult transient =
+        analyze_path(canonicalize(config), links, options);
+    entry.cycle_probabilities = transient.cycle_probabilities;
+    entry.expected_transmissions = transient.expected_transmissions;
+    entry.expected_transmissions_delivered =
+        transient.expected_transmissions_delivered;
+    entry.diagnostics = transient.diagnostics;
     std::size_t size_after = 0;
     {
       const std::lock_guard lock(mutex_);

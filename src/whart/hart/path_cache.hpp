@@ -30,14 +30,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <mutex>
 #include <vector>
 
 #include "whart/common/obs.hpp"
-#include "whart/common/parallel.hpp"
 #include "whart/hart/path_analysis.hpp"
 #include "whart/hart/path_model.hpp"
 
@@ -59,17 +57,11 @@ class PathAnalysisCache {
   /// per-hop UP probabilities, solving (and memoizing) on a miss.
   /// Bit-identical to compute_path_measures on a SteadyStateLinks
   /// provider with the same availabilities and kernel (the translation
-  /// argument in the header holds for the superframe-product kernel too:
-  /// identity factors commute bitwise through the cycle product).
-  /// `reuse_skeleton` routes miss solves through a shared
-  /// PathModelSkeleton per schedule shape (symbolic phase amortized,
-  /// numeric refill per availability point) — bitwise-identical to a
-  /// fresh solve, so the cache contract is unchanged; pass false to
-  /// solve every miss from scratch (the differential oracle's baseline).
+  /// argument in the header holds for the cycle collapse too: it visits
+  /// the same firings in the same order and skips idle i.i.d. slots).
   PathMeasures measures(const PathModelConfig& config,
                         const std::vector<double>& hop_availability,
-                        TransientKernel kernel = TransientKernel::kPerSlot,
-                        bool reuse_skeleton = true);
+                        TransientKernel kernel = TransientKernel::kPerSlot);
 
   /// Canonical fingerprint of (config, availabilities, kernel); two
   /// calls with the same fingerprint share one solve.  Solves by
@@ -79,18 +71,6 @@ class PathAnalysisCache {
   [[nodiscard]] static std::string fingerprint(
       const PathModelConfig& config,
       const std::vector<double>& hop_availability,
-      TransientKernel kernel = TransientKernel::kPerSlot);
-
-  /// Shape-only prefix of `fingerprint`: everything the symbolic phase
-  /// of a solve depends on (kernel, frame length, reporting interval,
-  /// effective TTL, firing pattern) and nothing the numeric phase refills
-  /// (availabilities).  Two configs with equal skeleton fingerprints
-  /// share one PathModelSkeleton.  No canonicalization is applied here —
-  /// callers pass an already-canonical config when translation sharing
-  /// is wanted.  Exposed for tests and for skeleton grouping in
-  /// sensitivity/network analysis.
-  [[nodiscard]] static std::string skeleton_fingerprint(
-      const PathModelConfig& config,
       TransientKernel kernel = TransientKernel::kPerSlot);
 
   /// Lookups served from a stored entry (this instance only).
@@ -125,23 +105,12 @@ class PathAnalysisCache {
     SolverDiagnostics diagnostics;
   };
 
-  /// The shared skeleton for the (already canonical) config's shape,
-  /// building and storing it on first use.  Never evicted: skeletons are
-  /// small (patterns only, no values) and there are few distinct shapes.
-  [[nodiscard]] std::shared_ptr<const PathModelSkeleton> skeleton_for(
-      const PathModelConfig& canonical, TransientKernel kernel);
-
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;
   std::size_t max_entries_ = 0;
   common::obs::Counter hits_;
   common::obs::Counter misses_;
   common::obs::Counter evictions_;
-
-  mutable std::mutex skeleton_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const PathModelSkeleton>>
-      skeletons_;
-  common::WorkspacePool<SolveWorkspace> workspaces_;
 };
 
 }  // namespace whart::hart

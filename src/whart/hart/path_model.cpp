@@ -5,13 +5,9 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <span>
 
 #include "whart/common/contracts.hpp"
 #include "whart/common/obs.hpp"
-#include "whart/linalg/matrix.hpp"
-#include "whart/linalg/simd.hpp"
-#include "whart/markov/superframe_kernel.hpp"
 
 namespace whart::hart {
 
@@ -33,27 +29,41 @@ std::uint32_t PathModelConfig::effective_ttl() const noexcept {
   return ttl.has_value() ? std::min(*ttl, horizon()) : horizon();
 }
 
-PathModel::PathModel(PathModelConfig config) : config_(std::move(config)) {
-  expects(!config_.hop_slots.empty(), "path has at least one hop");
-  expects(config_.superframe.uplink_slots > 0, "Fup > 0");
-  expects(config_.reporting_interval >= 1, "Is >= 1");
-  expects(config_.effective_ttl() >= 1, "ttl >= 1");
-  for (net::SlotNumber s : config_.hop_slots)
-    expects(s >= 1 && s <= config_.superframe.uplink_slots,
+void PathModelConfig::validate() const {
+  expects(!hop_slots.empty(), "path has at least one hop");
+  expects(superframe.uplink_slots > 0, "Fup > 0");
+  expects(reporting_interval >= 1, "Is >= 1");
+  expects(effective_ttl() >= 1, "ttl >= 1");
+  for (net::SlotNumber s : hop_slots)
+    expects(s >= 1 && s <= superframe.uplink_slots,
             "hop slots lie within the uplink frame");
-  expects(config_.retry_slots.empty() ||
-              config_.retry_slots.size() == config_.hop_slots.size(),
+  expects(retry_slots.empty() || retry_slots.size() == hop_slots.size(),
           "retry_slots empty or one entry per hop");
-  std::vector<net::SlotNumber> sorted = config_.hop_slots;
-  for (net::SlotNumber s : config_.retry_slots) {
+  std::vector<net::SlotNumber> sorted = hop_slots;
+  for (net::SlotNumber s : retry_slots) {
     if (s == 0) continue;  // no retry slot for this hop
-    expects(s >= 1 && s <= config_.superframe.uplink_slots,
+    expects(s >= 1 && s <= superframe.uplink_slots,
             "retry slots lie within the uplink frame");
     sorted.push_back(s);
   }
   std::sort(sorted.begin(), sorted.end());
   expects(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
           "each transmission opportunity has its own dedicated slot");
+}
+
+std::optional<std::size_t> PathModelConfig::hop_in_slot(
+    std::uint32_t global_slot) const noexcept {
+  const net::SlotNumber in_frame =
+      ((global_slot - 1) % superframe.uplink_slots) + 1;
+  for (std::size_t h = 0; h < hop_slots.size(); ++h)
+    if (hop_slots[h] == in_frame) return h;
+  for (std::size_t h = 0; h < retry_slots.size(); ++h)
+    if (retry_slots[h] != 0 && retry_slots[h] == in_frame) return h;
+  return std::nullopt;
+}
+
+PathModel::PathModel(PathModelConfig config) : config_(std::move(config)) {
+  config_.validate();
 
   // Reachability sweep over the layered state space: state (t, h) exists
   // for t < ttl when the chain can occupy it.
@@ -78,18 +88,6 @@ PathModel::PathModel(PathModelConfig config) : config_(std::move(config)) {
   num_states_ = num_transient_ + config_.reporting_interval + 1;
 }
 
-std::optional<std::size_t> PathModel::hop_in_slot(
-    std::uint32_t global_slot) const noexcept {
-  const net::SlotNumber in_frame =
-      ((global_slot - 1) % config_.superframe.uplink_slots) + 1;
-  for (std::size_t h = 0; h < config_.hop_slots.size(); ++h)
-    if (config_.hop_slots[h] == in_frame) return h;
-  for (std::size_t h = 0; h < config_.retry_slots.size(); ++h)
-    if (config_.retry_slots[h] != 0 && config_.retry_slots[h] == in_frame)
-      return h;
-  return std::nullopt;
-}
-
 PathTransientResult PathModel::analyze(
     const LinkProbabilityProvider& links) const {
   return analyze(links, PathAnalysisOptions{});
@@ -98,27 +96,27 @@ PathTransientResult PathModel::analyze(
 PathTransientResult PathModel::analyze(
     const LinkProbabilityProvider& links,
     const PathAnalysisOptions& options) const {
-  if (channel_enlarged(links, config_.hop_count()))
-    return analyze_channel(links, options);
   if (options.kernel == TransientKernel::kSuperframeProduct) {
     if (links.cycle_stationary())
-      return analyze_superframe(links, options.inject_product_error);
+      return analyze_collapsed(config_, links, options);
     WHART_COUNT("hart.path_solve.kernel_fallback");
   }
+  if (channel_enlarged(links, config_.hop_count()))
+    return analyze_channel_per_slot(links, options);
   return analyze_per_slot(links);
+}
+
+PathTransientResult analyze_path(const PathModelConfig& config,
+                                 const LinkProbabilityProvider& links,
+                                 const PathAnalysisOptions& options) {
+  if (options.kernel == TransientKernel::kSuperframeProduct &&
+      links.cycle_stationary())
+    return analyze_collapsed(config, links, options);
+  return PathModel(config).analyze(links, options);
 }
 
 PathTransientResult PathModel::analyze_per_slot(
     const LinkProbabilityProvider& links) const {
-  SolveWorkspace workspace;
-  PathTransientResult result;
-  analyze_per_slot_into(links, workspace, result);
-  return result;
-}
-
-void PathModel::analyze_per_slot_into(const LinkProbabilityProvider& links,
-                                      SolveWorkspace& ws,
-                                      PathTransientResult& result) const {
   WHART_SPAN("path_solve");
   expects(links.hop_count() >= config_.hop_count(),
           "provider covers every hop");
@@ -131,6 +129,7 @@ void PathModel::analyze_per_slot_into(const LinkProbabilityProvider& links,
   const std::uint32_t ttl = config_.effective_ttl();
   const std::uint32_t horizon = config_.horizon();
 
+  PathTransientResult result;
   result.cycle_probabilities.assign(config_.reporting_interval, 0.0);
   result.expected_transmissions_per_hop.assign(hops, 0.0);
   result.discard_probability = 0.0;
@@ -148,9 +147,9 @@ void PathModel::analyze_per_slot_into(const LinkProbabilityProvider& links,
 
   // Backward pass: beta[t][h] = P(eventual delivery | at (t, h) before
   // slot t+1).  Needed to attribute attempts to delivered messages.
-  ws.beta.assign(static_cast<std::size_t>(ttl) * hops, 0.0);
+  std::vector<double> beta(static_cast<std::size_t>(ttl) * hops, 0.0);
   const auto beta_at = [&](std::uint32_t t, std::size_t h) -> double& {
-    return ws.beta[static_cast<std::size_t>(t) * hops + h];
+    return beta[static_cast<std::size_t>(t) * hops + h];
   };
   for (std::uint32_t t = ttl; t-- > 0;) {
     const std::uint32_t slot = t + 1;
@@ -171,34 +170,34 @@ void PathModel::analyze_per_slot_into(const LinkProbabilityProvider& links,
     }
   }
 
-  ws.mass.assign(hops, 0.0);
-  ws.mass[0] = 1.0;
+  std::vector<double> mass(hops, 0.0);
+  mass[0] = 1.0;
 
   for (std::uint32_t slot = 1; slot <= horizon; ++slot) {
     if (slot <= ttl) {
       if (const auto firing = hop_in_slot(slot); firing.has_value()) {
         const std::size_t h = *firing;
-        if (ws.mass[h] > 0.0) {
+        if (mass[h] > 0.0) {
           const double ps = links.up_probability(
               h, config_.superframe.absolute_slot_of_uplink(slot));
-          result.expected_transmissions += ws.mass[h];
-          result.expected_transmissions_per_hop[h] += ws.mass[h];
+          result.expected_transmissions += mass[h];
+          result.expected_transmissions_per_hop[h] += mass[h];
           result.expected_transmissions_delivered +=
-              ws.mass[h] * beta_at(slot - 1, h);
-          const double moved = ws.mass[h] * ps;
-          ws.mass[h] -= moved;
+              mass[h] * beta_at(slot - 1, h);
+          const double moved = mass[h] * ps;
+          mass[h] -= moved;
           if (h + 1 == hops) {
             const std::uint32_t cycle =
                 (slot - 1) / config_.superframe.uplink_slots;  // 0-based
             result.cycle_probabilities[cycle] += moved;
           } else {
-            ws.mass[h + 1] += moved;
+            mass[h + 1] += moved;
           }
         }
       }
       if (slot == ttl) {
         // TTL expired: every in-flight message is discarded.
-        for (double& m : ws.mass) {
+        for (double& m : mass) {
           result.discard_probability += m;
           m = 0.0;
         }
@@ -227,608 +226,7 @@ void PathModel::analyze_per_slot_into(const LinkProbabilityProvider& links,
     WHART_OBSERVE("hart.path_solve.ns", result.diagnostics.solve_ns);
   }
 #endif
-}
-
-std::vector<linalg::CsrMatrix> PathModel::slot_matrices(
-    const LinkProbabilityProvider& links) const {
-  expects(links.hop_count() >= config_.hop_count(),
-          "provider covers every hop");
-  const std::size_t hops = config_.hop_count();
-  const std::size_t dim = hops + 2;
-  const std::size_t goal = hops;
-  const std::size_t discard = hops + 1;
-  std::vector<linalg::CsrMatrix> matrices;
-  matrices.reserve(config_.superframe.cycle_slots());
-  // Success probabilities are frozen from the first cycle; with a
-  // cycle-stationary provider every later cycle sees the same values.
-  for (std::uint32_t slot = 1; slot <= config_.superframe.uplink_slots;
-       ++slot) {
-    const std::optional<std::size_t> firing = hop_in_slot(slot);
-    std::vector<linalg::Triplet> entries;
-    entries.reserve(dim + 1);
-    for (std::size_t h = 0; h < hops; ++h) {
-      if (firing == h) {
-        const double ps = links.up_probability(
-            h, config_.superframe.absolute_slot_of_uplink(slot));
-        const std::size_t target = h + 1 == hops ? goal : h + 1;
-        if (ps > 0.0) entries.push_back({h, target, ps});
-        if (ps < 1.0) entries.push_back({h, h, 1.0 - ps});
-      } else {
-        entries.push_back({h, h, 1.0});
-      }
-    }
-    entries.push_back({goal, goal, 1.0});
-    entries.push_back({discard, discard, 1.0});
-    matrices.emplace_back(dim, dim, std::move(entries));
-  }
-  for (std::uint32_t s = 0; s < config_.superframe.downlink_slots; ++s)
-    matrices.push_back(linalg::CsrMatrix::identity(dim));
-  return matrices;
-}
-
-PathTransientResult PathModel::analyze_superframe(
-    const LinkProbabilityProvider& links, double inject) const {
-  // Fresh (slow-path) build: assemble the slot matrices and collapse the
-  // cycle through SuperframeKernel, then run the shared numeric core
-  // with a throwaway workspace.  The skeleton refill path feeds the same
-  // core with refilled structures, so the two agree bitwise.
-  const std::vector<linalg::CsrMatrix> slots = slot_matrices(links);
-  markov::SuperframeKernel kernel(slots);
-  if (inject != 0.0) kernel.perturb_product_entry(0, 0, inject);
-  SolveWorkspace workspace;
-  PathTransientResult result;
-  analyze_superframe_into(links, slots, kernel.cycle_product(), workspace,
-                          result);
   return result;
-}
-
-namespace {
-
-void ensure_zeroed(linalg::Matrix& m, std::size_t rows, std::size_t cols) {
-  if (m.rows() != rows || m.cols() != cols) {
-    m = linalg::Matrix(rows, cols);
-    return;
-  }
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < cols; ++c) m(r, c) = 0.0;
-}
-
-void ensure_zeroed(linalg::Vector& v, std::size_t size) {
-  if (v.size() != size) {
-    v = linalg::Vector(size);
-    return;
-  }
-  for (std::size_t i = 0; i < size; ++i) v[i] = 0.0;
-}
-
-}  // namespace
-
-void PathModel::analyze_superframe_into(
-    const LinkProbabilityProvider& links,
-    const std::vector<linalg::CsrMatrix>& slots,
-    const linalg::CsrMatrix& product, SolveWorkspace& ws,
-    PathTransientResult& result) const {
-  WHART_SPAN("path_solve");
-  expects(links.hop_count() >= config_.hop_count(),
-          "provider covers every hop");
-#ifndef WHART_OBS_DISABLED
-  const bool timed = common::obs::metrics_enabled();
-  const auto solve_start = timed ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-#endif
-  const std::size_t hops = config_.hop_count();
-  const std::size_t dim = hops + 2;
-  const std::size_t goal = hops;
-  const std::uint32_t frame = config_.superframe.uplink_slots;
-  const std::uint32_t ttl = config_.effective_ttl();
-  const std::uint32_t interval = config_.reporting_interval;
-  const std::uint32_t horizon = config_.horizon();
-
-  // Transmission opportunities of one cycle, in slot order.
-  ws.firings.clear();
-  for (std::uint32_t slot = 1; slot <= frame; ++slot)
-    if (const auto h = hop_in_slot(slot); h.has_value())
-      ws.firings.push_back(
-          {slot, *h,
-           links.up_probability(
-               *h, config_.superframe.absolute_slot_of_uplink(slot))});
-
-  // One-cycle accounting matrices from a dense prefix/suffix sweep.
-  //
-  //   attempts(x, h): expected transmissions of hop h during a full cycle
-  //     entered in state x — the prefix column of state h summed over the
-  //     slots where h fires, so a whole cycle's attempt bookkeeping is one
-  //     dot product against the entry distribution.
-  //
-  //   delivered_kernel K: with b = eventual-delivery probabilities at the
-  //     cycle's end and u = delivered-attempt mass accrued after it, one
-  //     cycle folds backward as u <- K b + P u, b <- P b, where
-  //     K = sum over firing slots j of
-  //         (column x_j of Prefix_{j-1}) (row x_j of Suffix_j),
-  //     Prefix_{j-1} = M_1..M_{j-1} and Suffix_j = M_j..M_F.
-  ensure_zeroed(ws.prefix, dim, dim);
-  for (std::size_t i = 0; i < dim; ++i) ws.prefix(i, i) = 1.0;
-  ensure_zeroed(ws.prefix_next, dim, dim);
-  ensure_zeroed(ws.attempts, dim, hops);
-  ws.prefix_columns.resize(ws.firings.size() * dim);
-  for (std::size_t i = 0; i < ws.firings.size(); ++i) {
-    const SolveWorkspace::Firing& f = ws.firings[i];
-    double* column = ws.prefix_columns.data() + i * dim;
-    for (std::size_t r = 0; r < dim; ++r) {
-      column[r] = ws.prefix(r, f.hop);
-      ws.attempts(r, f.hop) += column[r];
-    }
-    linalg::left_multiply_batch_into(ws.prefix, slots[f.slot - 1],
-                                     ws.prefix_next);
-    std::swap(ws.prefix, ws.prefix_next);
-  }
-
-  ensure_zeroed(ws.delivered_kernel, dim, dim);
-  ensure_zeroed(ws.suffix, dim, dim);
-  for (std::size_t i = 0; i < dim; ++i) ws.suffix(i, i) = 1.0;
-  ensure_zeroed(ws.suffix_next, dim, dim);
-  for (std::size_t i = ws.firings.size(); i-- > 0;) {
-    const SolveWorkspace::Firing& f = ws.firings[i];
-    const linalg::CsrMatrix& step = slots[f.slot - 1];
-    for (std::size_t r = 0; r < dim; ++r)
-      for (std::size_t c = 0; c < dim; ++c) ws.suffix_next(r, c) = 0.0;
-    for (std::size_t r = 0; r < dim; ++r)
-      step.for_each_in_row(r, [&](std::size_t k, double v) {
-        for (std::size_t c = 0; c < dim; ++c)
-          ws.suffix_next(r, c) += v * ws.suffix(k, c);
-      });
-    std::swap(ws.suffix, ws.suffix_next);
-    const double* column = ws.prefix_columns.data() + i * dim;
-    for (std::size_t r = 0; r < dim; ++r)
-      for (std::size_t c = 0; c < dim; ++c)
-        ws.delivered_kernel(r, c) += column[r] * ws.suffix(f.hop, c);
-  }
-
-  result.cycle_probabilities.assign(interval, 0.0);
-  result.expected_transmissions_per_hop.assign(hops, 0.0);
-  result.discard_probability = 0.0;
-  result.expected_transmissions = 0.0;
-  result.expected_transmissions_delivered = 0.0;
-  result.trajectory_stride = frame;
-  result.diagnostics = SolverDiagnostics{};
-  result.goal_trajectory.resize(interval + 1);
-  std::size_t trajectory_entry = 0;
-  const auto record_trajectory = [&] {
-    result.goal_trajectory[trajectory_entry++].assign(
-        result.cycle_probabilities.begin(), result.cycle_probabilities.end());
-  };
-  record_trajectory();
-
-  ensure_zeroed(ws.p, dim);
-  ws.p[0] = 1.0;
-  ensure_zeroed(ws.p_next, dim);
-  double goal_mass_seen = 0.0;
-  for (std::uint32_t cycle = 0; cycle < interval; ++cycle) {
-    if (static_cast<std::uint64_t>(cycle + 1) * frame <= ttl) {
-      // Full pre-TTL cycle: attempts via the accounting matrix, then one
-      // product advance in place of `frame` per-slot steps.
-      for (std::size_t h = 0; h < hops; ++h) {
-        double a = 0.0;
-        for (std::size_t x = 0; x < dim; ++x) a += ws.p[x] * ws.attempts(x, h);
-        result.expected_transmissions_per_hop[h] += a;
-        result.expected_transmissions += a;
-      }
-      // p <- p^T * product, the arithmetic of CsrMatrix::left_multiply
-      // replayed into the ping-pong buffer.
-      for (std::size_t i = 0; i < dim; ++i) ws.p_next[i] = 0.0;
-      for (std::size_t r = 0; r < dim; ++r) {
-        const double xr = ws.p[r];
-        if (xr == 0.0) continue;
-        product.for_each_in_row(
-            r, [&](std::size_t c, double v) { ws.p_next[c] += xr * v; });
-      }
-      std::swap(ws.p, ws.p_next);
-    } else {
-      // The cycle the TTL cuts through runs per-slot so the discard lands
-      // on the exact slot; cycles past the TTL fall straight through.
-      for (std::uint32_t s = 1; s <= frame; ++s) {
-        const std::uint32_t slot = cycle * frame + s;
-        if (slot > ttl) break;
-        if (const auto firing = hop_in_slot(slot); firing.has_value()) {
-          const std::size_t h = *firing;
-          const double ps = links.up_probability(
-              h, config_.superframe.absolute_slot_of_uplink(slot));
-          result.expected_transmissions += ws.p[h];
-          result.expected_transmissions_per_hop[h] += ws.p[h];
-          const double moved = ws.p[h] * ps;
-          ws.p[h] -= moved;
-          if (h + 1 == hops)
-            ws.p[goal] += moved;
-          else
-            ws.p[h + 1] += moved;
-        }
-        if (slot == ttl) {
-          for (std::size_t h = 0; h < hops; ++h) {
-            result.discard_probability += ws.p[h];
-            ws.p[h] = 0.0;
-          }
-        }
-      }
-    }
-    result.cycle_probabilities[cycle] = ws.p[goal] - goal_mass_seen;
-    goal_mass_seen = ws.p[goal];
-    record_trajectory();
-  }
-  // When the TTL coincides with a product-advanced cycle boundary the
-  // expired mass never passed a per-slot discard; sweep it now.
-  for (std::size_t h = 0; h < hops; ++h) {
-    result.discard_probability += ws.p[h];
-    ws.p[h] = 0.0;
-  }
-
-  // Delivered-attempt accounting, folded backward cycle-by-cycle.  b
-  // starts as the goal indicator at the TTL slot (transient mass there is
-  // lost, so its delivery probability is already 0); the TTL cycle runs
-  // per-slot, every earlier cycle collapses through K and the product.
-  {
-    WHART_TIMER("hart.stage.tail_solve.ns");
-    ensure_zeroed(ws.b, dim);
-    ws.b[goal] = 1.0;
-    ensure_zeroed(ws.u, dim);
-    const std::uint32_t ttl_cycle = (ttl - 1) / frame;  // 0-based
-    for (std::uint32_t slot = ttl; slot > ttl_cycle * frame; --slot) {
-      if (const auto firing = hop_in_slot(slot); firing.has_value()) {
-        const std::size_t h = *firing;
-        const double ps = links.up_probability(
-            h, config_.superframe.absolute_slot_of_uplink(slot));
-        const std::size_t target = h + 1 == hops ? goal : h + 1;
-        const double b_before = ps * ws.b[target] + (1.0 - ps) * ws.b[h];
-        ws.u[h] = ps * ws.u[target] + (1.0 - ps) * ws.u[h] + b_before;
-        ws.b[h] = b_before;
-      }
-    }
-    ensure_zeroed(ws.u_next, dim);
-    ensure_zeroed(ws.b_next, dim);
-    for (std::uint32_t cycle = ttl_cycle; cycle-- > 0;) {
-      for (std::size_t i = 0; i < dim; ++i) {
-        ws.u_next[i] = 0.0;
-        ws.b_next[i] = 0.0;
-      }
-      for (std::size_t r = 0; r < dim; ++r) {
-        double acc = 0.0;
-        for (std::size_t c = 0; c < dim; ++c)
-          acc += ws.delivered_kernel(r, c) * ws.b[c];
-        ws.u_next[r] = acc;
-      }
-      for (std::size_t r = 0; r < dim; ++r)
-        product.for_each_in_row(r, [&](std::size_t c, double v) {
-          ws.u_next[r] += v * ws.u[c];
-          ws.b_next[r] += v * ws.b[c];
-        });
-      std::swap(ws.u, ws.u_next);
-      std::swap(ws.b, ws.b_next);
-    }
-    result.expected_transmissions_delivered = ws.u[0];
-  }
-
-  result.diagnostics.dtmc_states = dim;
-  result.diagnostics.transient_states = hops;
-  result.diagnostics.absorbing_states = 2;
-  result.diagnostics.forward_steps = horizon;
-  result.diagnostics.kernel = TransientKernel::kSuperframeProduct;
-  const double goal_mass =
-      std::accumulate(result.cycle_probabilities.begin(),
-                      result.cycle_probabilities.end(), 0.0);
-  result.diagnostics.mass_residual =
-      std::abs(1.0 - goal_mass - result.discard_probability);
-  WHART_COUNT("hart.path_solve.count");
-  WHART_COUNT("hart.path_solve.superframe");
-  WHART_OBSERVE("hart.path_solve.states", dim);
-  WHART_EVENT(kSolveDone, "hart.path_solve", dim, 0);
-#ifndef WHART_OBS_DISABLED
-  if (timed) {
-    const auto elapsed = std::chrono::steady_clock::now() - solve_start;
-    result.diagnostics.solve_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    WHART_OBSERVE("hart.path_solve.ns", result.diagnostics.solve_ns);
-  }
-#endif
-}
-
-void PathModel::analyze_superframe_batch_into(
-    const std::vector<markov::CsrPattern>& slot_patterns,
-    const markov::CsrPattern& product_pattern, BatchSolveWorkspace& ws,
-    std::span<PathTransientResult* const> results) const {
-  // Common batch widths run the fixed-width instantiation (flat-unrolled
-  // lane loops); anything else takes the runtime-width fallback.  Same
-  // arithmetic either way — the dispatch only changes code generation.
-  switch (results.size()) {
-    case 4:
-      analyze_superframe_batch_lanes<4>(slot_patterns, product_pattern, ws,
-                                        results);
-      break;
-    case 8:
-      analyze_superframe_batch_lanes<8>(slot_patterns, product_pattern, ws,
-                                        results);
-      break;
-    case 16:
-      analyze_superframe_batch_lanes<16>(slot_patterns, product_pattern, ws,
-                                         results);
-      break;
-    default:
-      analyze_superframe_batch_lanes<0>(slot_patterns, product_pattern, ws,
-                                        results);
-      break;
-  }
-}
-
-template <std::size_t kLanes>
-void PathModel::analyze_superframe_batch_lanes(
-    const std::vector<markov::CsrPattern>& slot_patterns,
-    const markov::CsrPattern& product_pattern, BatchSolveWorkspace& ws,
-    std::span<PathTransientResult* const> results) const {
-  WHART_SPAN("path_solve_batch");
-  namespace simd = linalg::simd;
-  const std::size_t lanes = kLanes == 0 ? results.size() : kLanes;
-  expects(lanes >= 1, "at least one lane");
-  expects(ws.ps.size() == ws.firings.size() * lanes,
-          "one success probability per firing per lane");
-  expects(ws.product_values.size() == product_pattern.nonzeros() * lanes,
-          "product values refilled for this lane count");
-#ifndef WHART_OBS_DISABLED
-  const bool timed = common::obs::metrics_enabled();
-  const auto solve_start = timed ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-#endif
-  const std::size_t hops = config_.hop_count();
-  const std::size_t dim = hops + 2;
-  const std::size_t goal = hops;
-  const std::uint32_t frame = config_.superframe.uplink_slots;
-  const std::uint32_t ttl = config_.effective_ttl();
-  const std::uint32_t interval = config_.reporting_interval;
-  const std::uint32_t horizon = config_.horizon();
-
-  // ps lanes of the firing scheduled in global uplink slot `slot` (the
-  // firings list spans one frame; cycle-stationary lanes repeat it).
-  const auto firing_lanes = [&](std::uint32_t slot) -> const double* {
-    const std::uint32_t in_frame = ((slot - 1) % frame) + 1;
-    for (std::size_t i = 0; i < ws.firings.size(); ++i)
-      if (ws.firings[i].slot == in_frame) return ws.ps.data() + i * lanes;
-    return nullptr;
-  };
-
-  // One-cycle accounting structures from the dense prefix/suffix sweep of
-  // analyze_superframe_into, each entry widened to a lane array; the
-  // per-lane accumulation order matches the scalar sweep entry for entry.
-  ws.prefix.assign(dim * dim * lanes, 0.0);
-  for (std::size_t i = 0; i < dim; ++i)
-    simd::fill(ws.prefix.data() + (i * dim + i) * lanes, 1.0, lanes);
-  ws.prefix_next.assign(dim * dim * lanes, 0.0);
-  ws.attempts.assign(dim * hops * lanes, 0.0);
-  ws.prefix_columns.resize(ws.firings.size() * dim * lanes);
-  for (std::size_t i = 0; i < ws.firings.size(); ++i) {
-    const BatchSolveWorkspace::Firing& f = ws.firings[i];
-    double* column = ws.prefix_columns.data() + i * dim * lanes;
-    for (std::size_t r = 0; r < dim; ++r) {
-      simd::copy(column + r * lanes,
-                 ws.prefix.data() + (r * dim + f.hop) * lanes, lanes);
-      simd::add(ws.attempts.data() + (r * hops + f.hop) * lanes,
-                column + r * lanes, lanes);
-    }
-    // prefix <- prefix * M_slot: the arithmetic of left_multiply_batch_into
-    // (accumulation ascending over the slot matrix's rows), lane-wide.
-    const markov::CsrPattern& step = slot_patterns[f.slot - 1];
-    const std::vector<double>& step_values = ws.slot_values[f.slot - 1];
-    simd::fill(ws.prefix_next.data(), 0.0, dim * dim * lanes);
-    for (std::size_t k = 0; k < dim; ++k)
-      for (std::size_t idx = step.row_start[k]; idx < step.row_start[k + 1];
-           ++idx) {
-        const std::size_t c = step.col_index[idx];
-        const double* value = step_values.data() + idx * lanes;
-        for (std::size_t r = 0; r < dim; ++r)
-          simd::mul_add(ws.prefix_next.data() + (r * dim + c) * lanes,
-                        ws.prefix.data() + (r * dim + k) * lanes, value,
-                        lanes);
-      }
-    std::swap(ws.prefix, ws.prefix_next);
-  }
-
-  ws.delivered_kernel.assign(dim * dim * lanes, 0.0);
-  ws.suffix.assign(dim * dim * lanes, 0.0);
-  for (std::size_t i = 0; i < dim; ++i)
-    simd::fill(ws.suffix.data() + (i * dim + i) * lanes, 1.0, lanes);
-  ws.suffix_next.assign(dim * dim * lanes, 0.0);
-  for (std::size_t i = ws.firings.size(); i-- > 0;) {
-    const BatchSolveWorkspace::Firing& f = ws.firings[i];
-    const markov::CsrPattern& step = slot_patterns[f.slot - 1];
-    const std::vector<double>& step_values = ws.slot_values[f.slot - 1];
-    simd::fill(ws.suffix_next.data(), 0.0, dim * dim * lanes);
-    for (std::size_t r = 0; r < dim; ++r)
-      for (std::size_t idx = step.row_start[r]; idx < step.row_start[r + 1];
-           ++idx) {
-        const std::size_t k = step.col_index[idx];
-        const double* value = step_values.data() + idx * lanes;
-        for (std::size_t c = 0; c < dim; ++c)
-          simd::mul_add(ws.suffix_next.data() + (r * dim + c) * lanes, value,
-                        ws.suffix.data() + (k * dim + c) * lanes, lanes);
-      }
-    std::swap(ws.suffix, ws.suffix_next);
-    const double* column = ws.prefix_columns.data() + i * dim * lanes;
-    for (std::size_t r = 0; r < dim; ++r)
-      for (std::size_t c = 0; c < dim; ++c)
-        simd::mul_add(ws.delivered_kernel.data() + (r * dim + c) * lanes,
-                      column + r * lanes,
-                      ws.suffix.data() + (f.hop * dim + c) * lanes, lanes);
-  }
-
-  for (PathTransientResult* result : results) {
-    result->cycle_probabilities.assign(interval, 0.0);
-    result->expected_transmissions_per_hop.assign(hops, 0.0);
-    result->discard_probability = 0.0;
-    result->expected_transmissions = 0.0;
-    result->expected_transmissions_delivered = 0.0;
-    result->trajectory_stride = frame;
-    result->diagnostics = SolverDiagnostics{};
-    result->goal_trajectory.resize(interval + 1);
-  }
-  std::size_t trajectory_entry = 0;
-  const auto record_trajectory = [&] {
-    for (PathTransientResult* result : results)
-      result->goal_trajectory[trajectory_entry].assign(
-          result->cycle_probabilities.begin(),
-          result->cycle_probabilities.end());
-    ++trajectory_entry;
-  };
-  record_trajectory();
-
-  ws.p.assign(dim * lanes, 0.0);
-  simd::fill(ws.p.data(), 1.0, lanes);
-  ws.p_next.assign(dim * lanes, 0.0);
-  ws.lane_scratch.assign(lanes, 0.0);
-  ws.goal_seen.assign(lanes, 0.0);
-  for (std::uint32_t cycle = 0; cycle < interval; ++cycle) {
-    if (static_cast<std::uint64_t>(cycle + 1) * frame <= ttl) {
-      // Full pre-TTL cycle: attempts via the accounting matrix, then one
-      // product advance in place of `frame` per-slot steps.
-      for (std::size_t h = 0; h < hops; ++h) {
-        simd::fill(ws.lane_scratch.data(), 0.0, lanes);
-        for (std::size_t x = 0; x < dim; ++x)
-          simd::mul_add(ws.lane_scratch.data(), ws.p.data() + x * lanes,
-                        ws.attempts.data() + (x * hops + h) * lanes, lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-          results[l]->expected_transmissions_per_hop[h] += ws.lane_scratch[l];
-          results[l]->expected_transmissions += ws.lane_scratch[l];
-        }
-      }
-      // p <- p^T * product.  The scalar core skips rows with p[r] == 0;
-      // lanes cannot branch independently, and the skipped contributions
-      // are exact zeros, so every row is visited.
-      simd::fill(ws.p_next.data(), 0.0, dim * lanes);
-      for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t idx = product_pattern.row_start[r];
-             idx < product_pattern.row_start[r + 1]; ++idx)
-          simd::mul_add(
-              ws.p_next.data() + product_pattern.col_index[idx] * lanes,
-              ws.p.data() + r * lanes,
-              ws.product_values.data() + idx * lanes, lanes);
-      std::swap(ws.p, ws.p_next);
-    } else {
-      // The cycle the TTL cuts through runs per-slot so the discard lands
-      // on the exact slot; cycles past the TTL fall straight through.
-      for (std::uint32_t s = 1; s <= frame; ++s) {
-        const std::uint32_t slot = cycle * frame + s;
-        if (slot > ttl) break;
-        if (const double* ps_lanes = firing_lanes(slot); ps_lanes != nullptr) {
-          const std::size_t h = hop_in_slot(slot).value();
-          const std::size_t target = h + 1 == hops ? goal : h + 1;
-          for (std::size_t l = 0; l < lanes; ++l) {
-            const double ph = ws.p[h * lanes + l];
-            results[l]->expected_transmissions += ph;
-            results[l]->expected_transmissions_per_hop[h] += ph;
-            const double moved = ph * ps_lanes[l];
-            ws.p[h * lanes + l] -= moved;
-            ws.p[target * lanes + l] += moved;
-          }
-        }
-        if (slot == ttl) {
-          for (std::size_t h = 0; h < hops; ++h)
-            for (std::size_t l = 0; l < lanes; ++l) {
-              results[l]->discard_probability += ws.p[h * lanes + l];
-              ws.p[h * lanes + l] = 0.0;
-            }
-        }
-      }
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      results[l]->cycle_probabilities[cycle] =
-          ws.p[goal * lanes + l] - ws.goal_seen[l];
-      ws.goal_seen[l] = ws.p[goal * lanes + l];
-    }
-    record_trajectory();
-  }
-  // When the TTL coincides with a product-advanced cycle boundary the
-  // expired mass never passed a per-slot discard; sweep it now.
-  for (std::size_t h = 0; h < hops; ++h)
-    for (std::size_t l = 0; l < lanes; ++l) {
-      results[l]->discard_probability += ws.p[h * lanes + l];
-      ws.p[h * lanes + l] = 0.0;
-    }
-
-  // Delivered-attempt accounting, folded backward cycle-by-cycle exactly
-  // as in the scalar core.
-  {
-    WHART_TIMER("hart.stage.tail_solve.ns");
-    ws.b.assign(dim * lanes, 0.0);
-    simd::fill(ws.b.data() + goal * lanes, 1.0, lanes);
-    ws.u.assign(dim * lanes, 0.0);
-    const std::uint32_t ttl_cycle = (ttl - 1) / frame;  // 0-based
-    for (std::uint32_t slot = ttl; slot > ttl_cycle * frame; --slot) {
-      if (const double* ps_lanes = firing_lanes(slot); ps_lanes != nullptr) {
-        const std::size_t h = hop_in_slot(slot).value();
-        const std::size_t target = h + 1 == hops ? goal : h + 1;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const double ps = ps_lanes[l];
-          const double b_before = ps * ws.b[target * lanes + l] +
-                                  (1.0 - ps) * ws.b[h * lanes + l];
-          ws.u[h * lanes + l] = ps * ws.u[target * lanes + l] +
-                                (1.0 - ps) * ws.u[h * lanes + l] + b_before;
-          ws.b[h * lanes + l] = b_before;
-        }
-      }
-    }
-    ws.u_next.assign(dim * lanes, 0.0);
-    ws.b_next.assign(dim * lanes, 0.0);
-    for (std::uint32_t cycle = ttl_cycle; cycle-- > 0;) {
-      simd::fill(ws.u_next.data(), 0.0, dim * lanes);
-      simd::fill(ws.b_next.data(), 0.0, dim * lanes);
-      for (std::size_t r = 0; r < dim; ++r) {
-        simd::fill(ws.lane_scratch.data(), 0.0, lanes);
-        for (std::size_t c = 0; c < dim; ++c)
-          simd::mul_add(ws.lane_scratch.data(),
-                        ws.delivered_kernel.data() + (r * dim + c) * lanes,
-                        ws.b.data() + c * lanes, lanes);
-        simd::copy(ws.u_next.data() + r * lanes, ws.lane_scratch.data(),
-                   lanes);
-      }
-      for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t idx = product_pattern.row_start[r];
-             idx < product_pattern.row_start[r + 1]; ++idx) {
-          const std::size_t c = product_pattern.col_index[idx];
-          const double* value = ws.product_values.data() + idx * lanes;
-          simd::mul_add(ws.u_next.data() + r * lanes, value,
-                        ws.u.data() + c * lanes, lanes);
-          simd::mul_add(ws.b_next.data() + r * lanes, value,
-                        ws.b.data() + c * lanes, lanes);
-        }
-      std::swap(ws.u, ws.u_next);
-      std::swap(ws.b, ws.b_next);
-    }
-    for (std::size_t l = 0; l < lanes; ++l)
-      results[l]->expected_transmissions_delivered = ws.u[l];
-  }
-
-  for (PathTransientResult* result : results) {
-    result->diagnostics.dtmc_states = dim;
-    result->diagnostics.transient_states = hops;
-    result->diagnostics.absorbing_states = 2;
-    result->diagnostics.forward_steps = horizon;
-    result->diagnostics.kernel = TransientKernel::kSuperframeProduct;
-    const double goal_mass =
-        std::accumulate(result->cycle_probabilities.begin(),
-                        result->cycle_probabilities.end(), 0.0);
-    result->diagnostics.mass_residual =
-        std::abs(1.0 - goal_mass - result->discard_probability);
-  }
-  WHART_COUNT_N("hart.path_solve.count", lanes);
-  WHART_COUNT_N("hart.path_solve.superframe", lanes);
-  WHART_OBSERVE("hart.path_solve.states", dim);
-  WHART_EVENT(kSolveDone, "hart.path_solve", dim, 0);
-#ifndef WHART_OBS_DISABLED
-  if (timed) {
-    const auto elapsed = std::chrono::steady_clock::now() - solve_start;
-    const auto total_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    // Each lane's reported solve time is its amortized share of the batch.
-    for (PathTransientResult* result : results)
-      result->diagnostics.solve_ns = total_ns / lanes;
-    WHART_OBSERVE("hart.path_solve.ns", total_ns);
-  }
-#endif
 }
 
 markov::Dtmc PathModel::to_dtmc(const LinkProbabilityProvider& links) const {
@@ -901,370 +299,6 @@ std::string PathModel::goal_state_name(std::uint32_t cycle) const {
           "cycle in 1..Is");
   return "R" + std::to_string(config_.gateway_slot() +
                               (cycle - 1) * config_.superframe.uplink_slots);
-}
-
-namespace {
-
-/// Verification-harness adapter: `inject_stale_skeleton` biases hop 0's
-/// success probability, emulating a refill that wrote stale values into
-/// the skeleton's structures.  Only the skeleton path wraps providers
-/// with this, so fresh and refilled solves diverge and the differential
-/// oracle's refill arm must notice.
-class StaleLinks final : public LinkProbabilityProvider {
- public:
-  StaleLinks(const LinkProbabilityProvider& base, double delta) noexcept
-      : base_(base), delta_(delta) {}
-
-  [[nodiscard]] double up_probability(
-      std::size_t hop, std::uint64_t absolute_slot) const override {
-    double p = base_.up_probability(hop, absolute_slot);
-    if (hop == 0) p = std::clamp(p + delta_, 0.0, 1.0);
-    return p;
-  }
-  [[nodiscard]] std::size_t hop_count() const override {
-    return base_.hop_count();
-  }
-  [[nodiscard]] bool cycle_stationary() const override {
-    return base_.cycle_stationary();
-  }
-
- private:
-  const LinkProbabilityProvider& base_;
-  double delta_;
-};
-
-/// Stage-attribution clock for the skeleton constructor: the symbolic
-/// build spends its time in the member-initializer list, so the start
-/// timestamp is taken while the first member initializes and the
-/// elapsed time is observed at the end of the constructor body.
-thread_local std::chrono::steady_clock::time_point g_skeleton_build_start;
-
-PathModelConfig mark_skeleton_build(PathModelConfig config) {
-  g_skeleton_build_start = std::chrono::steady_clock::now();
-  return config;
-}
-
-/// Generic-probability slot patterns: any ps strictly inside (0, 1)
-/// yields the full two-entries-per-firing-row sparsity.
-std::vector<markov::CsrPattern> capture_slot_patterns(const PathModel& model) {
-  const SteadyStateLinks generic(
-      std::vector<double>(model.config().hop_count(), 0.5));
-  const std::vector<linalg::CsrMatrix> slots = model.slot_matrices(generic);
-  std::vector<markov::CsrPattern> patterns;
-  patterns.reserve(slots.size());
-  for (const linalg::CsrMatrix& m : slots)
-    patterns.push_back(markov::CsrPattern::of(m));
-  return patterns;
-}
-
-}  // namespace
-
-PathModelSkeleton::PathModelSkeleton(PathModelConfig config)
-    : model_(mark_skeleton_build(std::move(config))),
-      slot_patterns_(capture_slot_patterns(model_)),
-      chain_(slot_patterns_) {
-  // Provenance: for every firing uplink slot, locate the values indices
-  // of the two mutable entries of row `hop` — (hop, hop) carries 1 - ps
-  // and (hop, target) carries ps; target (hop + 1 or Goal) is always a
-  // higher column, so both are found by a scan of the sorted row.
-  const std::size_t hops = model_.config().hop_count();
-  for (std::uint32_t slot = 1; slot <= model_.config().superframe.uplink_slots;
-       ++slot) {
-    const std::optional<std::size_t> firing = model_.hop_in_slot(slot);
-    if (!firing.has_value()) continue;
-    const std::size_t h = *firing;
-    const std::size_t target = h + 1 == hops ? hops : h + 1;
-    const markov::CsrPattern& pattern = slot_patterns_[slot - 1];
-    SlotProvenance prov;
-    prov.slot = slot;
-    prov.hop = h;
-    bool found_failure = false;
-    bool found_success = false;
-    for (std::size_t k = pattern.row_start[h]; k < pattern.row_start[h + 1];
-         ++k) {
-      if (pattern.col_index[k] == h) {
-        prov.failure_index = k;
-        found_failure = true;
-      } else if (pattern.col_index[k] == target) {
-        prov.success_index = k;
-        found_success = true;
-      }
-    }
-    ensures(found_failure && found_success,
-            "firing row carries both its success and failure entries");
-    provenance_.push_back(prov);
-  }
-  // Compile the SoA replay plan with the rest of the symbolic phase: the
-  // batch refill then walks a flat op list instead of re-deriving the
-  // Gustavson bookkeeping on every batch.
-  batch_refill_ =
-      std::make_unique<const markov::BatchRefill>(chain_, slot_patterns_);
-  WHART_COUNT("hart.skeleton.builds");
-  WHART_OBSERVE(
-      "hart.stage.skeleton_build.ns",
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - g_skeleton_build_start)
-              .count()));
-}
-
-void PathModelSkeleton::prime(SolveWorkspace& ws) const {
-  ws.slots.clear();
-  ws.slots.reserve(slot_patterns_.size());
-  for (const markov::CsrPattern& pattern : slot_patterns_)
-    ws.slots.push_back(linalg::CsrMatrix::from_parts(
-        pattern.rows, pattern.cols, pattern.row_start, pattern.col_index,
-        std::vector<double>(pattern.nonzeros(), 1.0)));
-  const markov::CsrPattern& product = chain_.pattern();
-  ws.product = linalg::CsrMatrix::from_parts(
-      product.rows, product.cols, product.row_start, product.col_index,
-      std::vector<double>(product.nonzeros(), 0.0));
-  ws.primed = true;
-  ws.primed_config = model_.config();
-}
-
-void PathModelSkeleton::analyze_into(const LinkProbabilityProvider& links,
-                                     const PathAnalysisOptions& options,
-                                     SolveWorkspace& ws,
-                                     PathTransientResult& result) const {
-  expects(links.hop_count() >= config().hop_count(),
-          "provider covers every hop");
-  if (channel_enlarged(links, config().hop_count())) {
-    // The skeleton's patterns describe the compact i.i.d. chain; a
-    // multi-state channel enlarges the state space, so refilling cannot
-    // reproduce a fresh build — solve fresh through the channel core.
-    WHART_COUNT("hart.skeleton.refill_fallback");
-    result = model_.analyze(links, options);
-    return;
-  }
-  const StaleLinks stale(links, options.inject_stale_skeleton);
-  const LinkProbabilityProvider& provider =
-      options.inject_stale_skeleton != 0.0
-          ? static_cast<const LinkProbabilityProvider&>(stale)
-          : links;
-
-  if (options.kernel == TransientKernel::kSuperframeProduct &&
-      provider.cycle_stationary()) {
-    if (options.inject_product_error != 0.0) {
-      // Product-entry injection perturbs a freshly built kernel; there
-      // is no refilled equivalent, so take the fresh path.
-      WHART_COUNT("hart.skeleton.refill_fallback");
-      result = model_.analyze(provider, options);
-      return;
-    }
-    // A firing probability of exactly 0 or 1 drops an entry from the
-    // assembled slot matrix, so the captured generic pattern no longer
-    // matches a fresh build — fall back rather than refill a structure
-    // the fresh path would not produce.
-    const net::SuperframeConfig& superframe = model_.config().superframe;
-    for (const SlotProvenance& prov : provenance_) {
-      const double ps = provider.up_probability(
-          prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-      if (!(ps > 0.0) || !(ps < 1.0)) {
-        WHART_COUNT("hart.skeleton.refill_fallback");
-        result = model_.analyze(provider, options);
-        return;
-      }
-    }
-    if (!ws.primed || !(ws.primed_config == model_.config())) prime(ws);
-    {
-      WHART_TIMER("hart.stage.refill.ns");
-      for (const SlotProvenance& prov : provenance_) {
-        const double ps = provider.up_probability(
-            prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-        const std::span<double> values = ws.slots[prov.slot - 1].values();
-        values[prov.failure_index] = 1.0 - ps;
-        values[prov.success_index] = ps;
-      }
-      chain_.refill(ws.slots, ws.chain_arena, ws.product.values());
-    }
-    WHART_COUNT("hart.skeleton.refills");
-    model_.analyze_superframe_into(provider, ws.slots, ws.product, ws, result);
-    return;
-  }
-  if (options.kernel == TransientKernel::kSuperframeProduct)
-    WHART_COUNT("hart.path_solve.kernel_fallback");
-  WHART_COUNT("hart.skeleton.refills");
-  model_.analyze_per_slot_into(provider, ws, result);
-}
-
-bool PathModelSkeleton::analyze_incremental_into(
-    const LinkProbabilityProvider& links, const PathAnalysisOptions& options,
-    std::span<const std::size_t> changed_hops,
-    markov::IncrementalProduct& product, SolveWorkspace& ws,
-    PathTransientResult& result) const {
-  expects(links.hop_count() >= config().hop_count(),
-          "provider covers every hop");
-  // The incremental path exists only where the cycle product does; every
-  // regime analyze_into would route elsewhere (per-slot kernel,
-  // non-stationary links, channel enlargement) or solve fresh (refill
-  // injections, degenerate ps) is declined here so the caller's fresh
-  // fallback reproduces analyze_into's behavior exactly.
-  if (options.kernel != TransientKernel::kSuperframeProduct ||
-      !links.cycle_stationary() ||
-      channel_enlarged(links, config().hop_count()) ||
-      options.inject_product_error != 0.0 ||
-      options.inject_stale_skeleton != 0.0) {
-    WHART_COUNT("hart.whatif.incremental_fallback");
-    return false;
-  }
-  const net::SuperframeConfig& superframe = model_.config().superframe;
-  for (const SlotProvenance& prov : provenance_) {
-    const double ps = links.up_probability(
-        prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-    if (!(ps > 0.0) || !(ps < 1.0)) {
-      WHART_COUNT("hart.whatif.incremental_fallback");
-      return false;
-    }
-  }
-  if (!ws.primed || !(ws.primed_config == model_.config())) prime(ws);
-  {
-    WHART_TIMER("hart.stage.incremental_refill.ns");
-    if (!product.seeded()) {
-      // Cold start: write every firing value and seed the partial-value
-      // cache with one full replay.
-      for (const SlotProvenance& prov : provenance_) {
-        const double ps = links.up_probability(
-            prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-        const std::span<double> values = ws.slots[prov.slot - 1].values();
-        values[prov.failure_index] = 1.0 - ps;
-        values[prov.success_index] = ps;
-      }
-      product.refill(ws.slots);
-      WHART_COUNT("hart.whatif.seeds");
-    } else {
-      for (const SlotProvenance& prov : provenance_) {
-        bool changed = false;
-        for (std::size_t hop : changed_hops) changed |= prov.hop == hop;
-        if (!changed) continue;
-        const double ps = links.up_probability(
-            prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-        const std::span<double> values = ws.slots[prov.slot - 1].values();
-        values[prov.failure_index] = 1.0 - ps;
-        values[prov.success_index] = ps;
-        product.update(prov.slot - 1, prov.failure_index);
-        product.update(prov.slot - 1, prov.success_index);
-      }
-      product.propagate(ws.slots);
-      WHART_COUNT("hart.whatif.incremental_solves");
-    }
-    const std::span<const double> values = product.values();
-    std::copy(values.begin(), values.end(), ws.product.values().begin());
-    if (options.inject_stale_product_row != 0.0) {
-      // Emulate a row the targeted re-accumulation failed to replay.
-      const markov::CsrPattern& pattern = chain_.pattern();
-      const std::span<double> out = ws.product.values();
-      for (std::size_t k = pattern.row_start[0]; k < pattern.row_start[1]; ++k)
-        out[k] += options.inject_stale_product_row;
-    }
-  }
-  model_.analyze_superframe_into(links, ws.slots, ws.product, ws, result);
-  return true;
-}
-
-void PathModelSkeleton::prime_batch(BatchSolveWorkspace& ws,
-                                    std::size_t lanes) const {
-  ws.slot_values.resize(slot_patterns_.size());
-  for (std::size_t s = 0; s < slot_patterns_.size(); ++s)
-    ws.slot_values[s].assign(slot_patterns_[s].nonzeros() * lanes, 1.0);
-  ws.product_values.assign(chain_.pattern().nonzeros() * lanes, 0.0);
-  ws.primed = true;
-  ws.primed_lanes = lanes;
-  ws.primed_config = model_.config();
-}
-
-void PathModelSkeleton::analyze_batch_into(
-    std::span<const LinkProbabilityProvider* const> links,
-    const PathAnalysisOptions& options, BatchSolveWorkspace& ws,
-    std::span<PathTransientResult> results) const {
-  expects(links.size() == results.size(), "one result per provider");
-  const net::SuperframeConfig& superframe = model_.config().superframe;
-
-  // Partition lanes: a lane is batchable when the SoA core reproduces its
-  // scalar refill exactly — superframe kernel, cycle-stationary provider,
-  // no fault injections that perturb the refill path, and no degenerate
-  // firing probability (ps of 0 or 1 changes the captured pattern).
-  ws.batched_index.clear();
-  ws.scalar_index.clear();
-  // The scan stashes every candidate's firing probabilities
-  // (candidate-major) so the refill gather below reuses them instead of
-  // querying each provider a second time.
-  ws.ps_scan.resize(links.size() * provenance_.size());
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    expects(links[i]->hop_count() >= config().hop_count(),
-            "provider covers every hop");
-    bool batchable = options.kernel == TransientKernel::kSuperframeProduct &&
-                     options.inject_product_error == 0.0 &&
-                     options.inject_stale_skeleton == 0.0 &&
-                     links[i]->cycle_stationary() &&
-                     !channel_enlarged(*links[i], config().hop_count());
-    if (batchable)
-      for (std::size_t fi = 0; fi < provenance_.size(); ++fi) {
-        const SlotProvenance& prov = provenance_[fi];
-        const double ps = links[i]->up_probability(
-            prov.hop, superframe.absolute_slot_of_uplink(prov.slot));
-        ws.ps_scan[i * provenance_.size() + fi] = ps;
-        if (!(ps > 0.0) || !(ps < 1.0)) {
-          batchable = false;
-          break;
-        }
-      }
-    (batchable ? ws.batched_index : ws.scalar_index).push_back(i);
-  }
-  // A batch needs at least two lanes to amortize anything; below that,
-  // every point takes the scalar refill path.
-  if (ws.batched_index.size() < 2) {
-    WHART_COUNT_N("hart.batch.remainder_points", links.size());
-    for (std::size_t i = 0; i < links.size(); ++i)
-      analyze_into(*links[i], options, ws.scalar, results[i]);
-    return;
-  }
-  if (!ws.scalar_index.empty()) {
-    WHART_COUNT_N("hart.batch.remainder_points", ws.scalar_index.size());
-    for (std::size_t i : ws.scalar_index)
-      analyze_into(*links[i], options, ws.scalar, results[i]);
-  }
-
-  const std::size_t lanes = ws.batched_index.size();
-  if (!ws.primed || ws.primed_lanes != lanes ||
-      !(ws.primed_config == model_.config()))
-    prime_batch(ws, lanes);
-  WHART_COUNT("hart.batch.refills");
-  WHART_COUNT_N("hart.batch.lanes_filled", lanes);
-  {
-    WHART_TIMER("hart.stage.batch_refill.ns");
-    // One SoA refill prices every lane: gather each firing's per-lane
-    // success probabilities into the slot value lanes, then replay the
-    // cycle-product chain once for all lanes.  provenance_ is in slot
-    // order, so ws.firings matches the scalar core's firing order.
-    ws.firings.clear();
-    ws.ps.resize(provenance_.size() * lanes);
-    for (std::size_t fi = 0; fi < provenance_.size(); ++fi) {
-      const SlotProvenance& prov = provenance_[fi];
-      ws.firings.push_back({prov.slot, prov.hop});
-      std::vector<double>& slot_values = ws.slot_values[prov.slot - 1];
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const double ps =
-            ws.ps_scan[ws.batched_index[l] * provenance_.size() + fi];
-        ws.ps[fi * lanes + l] = ps;
-        slot_values[prov.failure_index * lanes + l] = 1.0 - ps;
-        slot_values[prov.success_index * lanes + l] = ps;
-      }
-    }
-    batch_refill_->refill(ws.slot_values, lanes, ws.chain_arena,
-                          std::span<double>(ws.product_values));
-  }
-  if (options.inject_lane_swap) {
-    // Verification-harness injection: cross-lane contamination of the
-    // refilled product, the signature of a lane-indexing bug.
-    for (std::size_t k = 0; k < chain_.pattern().nonzeros(); ++k)
-      std::swap(ws.product_values[k * lanes],
-                ws.product_values[k * lanes + 1]);
-  }
-  ws.result_ptrs.clear();
-  for (std::size_t i : ws.batched_index) ws.result_ptrs.push_back(&results[i]);
-  model_.analyze_superframe_batch_into(slot_patterns_, chain_.pattern(), ws,
-                                       ws.result_ptrs);
 }
 
 }  // namespace whart::hart

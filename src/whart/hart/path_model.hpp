@@ -17,19 +17,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "whart/hart/link_probability.hpp"
 #include "whart/linalg/matrix.hpp"
 #include "whart/linalg/sparse.hpp"
-#include "whart/markov/batch_refill.hpp"
 #include "whart/markov/dtmc.hpp"
-#include "whart/markov/incremental_product.hpp"
-#include "whart/markov/structure.hpp"
 #include "whart/net/schedule.hpp"
 #include "whart/net/superframe.hpp"
 
@@ -38,17 +33,19 @@ namespace whart::hart {
 /// Which transient solver answers PathModel::analyze.
 enum class TransientKernel {
   /// Forward propagation, one step per uplink slot — the paper's Eq. 5
-  /// read off directly.  Works under every link regime.
+  /// read off directly.  Works under every link regime and is the
+  /// reference the collapse is checked against.
   kPerSlot,
 
-  /// Superframe-product collapse (markov::SuperframeKernel): the
-  /// per-slot matrices of one cycle are premultiplied into the cycle
-  /// matrix once, and the reporting interval advances cycle-by-cycle
-  /// through it (plus a per-slot tail when the TTL cuts a cycle).
-  /// Requires a cycle-stationary link provider (steady-state links);
-  /// time-varying providers fall back to kPerSlot.  Results agree with
-  /// kPerSlot to rounding (~1e-15 relative; the products reassociate
-  /// the same arithmetic), not bitwise.
+  /// Dense firing-only cycle collapse (analyze_collapsed, DESIGN.md
+  /// §11): one superframe cycle folds into a dense (sum k_h + 2)-square
+  /// cycle matrix built by column updates at the firing slots only, and
+  /// the reporting interval advances cycle-by-cycle through it (the
+  /// cycle the TTL cuts runs its firings one by one).  Requires a
+  /// cycle-stationary link provider (steady-state or stationary-start
+  /// channel links); time-varying providers fall back to kPerSlot.
+  /// Results agree with kPerSlot to rounding (~1e-15 relative), not
+  /// bitwise.
   kSuperframeProduct,
 };
 
@@ -57,48 +54,19 @@ struct PathAnalysisOptions {
   TransientKernel kernel = TransientKernel::kPerSlot;
 
   /// Verification-harness fault injection: when nonzero, this delta is
-  /// added to one entry of the cycle-product matrix before solving
-  /// (kSuperframeProduct only).  It deliberately breaks the collapse so
-  /// the differential oracle can prove it catches a bad product build.
-  /// Always 0 in production.
+  /// added to entry (0, 0) of the dense cycle matrix before solving
+  /// (kSuperframeProduct only, i.i.d. and channel solves alike).  It
+  /// deliberately breaks the collapse so the differential oracle can
+  /// prove it catches a bad cycle-matrix build.  Always 0 in production.
   double inject_product_error = 0.0;
 
-  /// Verification-harness fault injection: when nonzero, a
-  /// PathModelSkeleton refill biases hop 0's success probability by this
-  /// delta — a deliberately stale numeric phase, so the differential
-  /// oracle can prove its refill arm catches skeleton/value drift.
-  /// Ignored by fresh PathModel::analyze builds.  Always 0 in production.
-  double inject_stale_skeleton = 0.0;
-
-  /// Evaluation points refilled together by the SoA batch core
-  /// (DESIGN.md §13): sweeps and rank_link_upgrades chunk same-shape
-  /// grid points into batches of at most this many lanes and solve them
-  /// through PathModelSkeleton::analyze_batch_into.  1 = scalar refills.
-  std::size_t batch_lanes = 1;
-
-  /// Verification-harness fault injection: swap the first two value
-  /// lanes of the batched cycle product after the SoA refill — the
-  /// signature of a lane-indexing bug in the Gustavson replay (cross-
-  /// lane contamination), which the differential oracle's batch arm
-  /// must catch.  Always false in production.
-  bool inject_lane_swap = false;
-
-  /// Verification-harness fault injection: when nonzero, the incremental
-  /// solve path (PathModelSkeleton::analyze_incremental_into) adds this
-  /// delta to every entry of row 0 of the propagated cycle product — the
-  /// signature of a stale product row that the targeted re-accumulation
-  /// failed to replay, which the differential oracle's incremental arm
-  /// must catch.  Ignored by every other solve path.  Always 0 in
-  /// production.
-  double inject_stale_product_row = 0.0;
-
   /// Verification-harness fault injection: in the channel-enlarged
-  /// solver (path_model_channel.cpp), redistribute the failure mass of
-  /// every firing row by the channel's *stationary* distribution instead
-  /// of the conditioned transition row — i.e. forget that a failed
-  /// attempt is evidence of a bad channel state.  The classic bug a
-  /// correlated-channel solver can have; the oracle's channel arm must
-  /// catch it.  Always false in production.
+  /// solvers, redistribute the failure mass of every firing row by the
+  /// channel's *stationary* distribution instead of the conditioned
+  /// transition row — i.e. forget that a failed attempt is evidence of
+  /// a bad channel state.  The classic bug a correlated-channel solver
+  /// can have; the oracle's channel arm must catch it.  Always false in
+  /// production.
   bool inject_channel_state_leak = false;
 };
 
@@ -145,15 +113,20 @@ struct PathModelConfig {
   /// Effective TTL: min(ttl, horizon).
   [[nodiscard]] std::uint32_t effective_ttl() const noexcept;
 
+  /// Throws precondition_error unless the config describes a solvable
+  /// path: at least one hop, slots within the frame, no two
+  /// transmission opportunities sharing a slot, Is >= 1 and TTL >= 1.
+  void validate() const;
+
+  /// Which hop (if any) fires in global uplink slot s (1-based): its
+  /// dedicated slot or its retry slot, repeated every frame.
+  [[nodiscard]] std::optional<std::size_t> hop_in_slot(
+      std::uint32_t global_slot) const noexcept;
+
   /// Slot of the final (gateway) transmission — the paper's a0.
   [[nodiscard]] net::SlotNumber gateway_slot() const noexcept {
     return hop_slots.back();
   }
-
-  /// Two configs compare equal exactly when they produce the same model
-  /// shape — the invalidation rule of skeleton/workspace reuse.
-  friend bool operator==(const PathModelConfig&,
-                         const PathModelConfig&) = default;
 };
 
 /// Numeric provenance of one path solve — the observability block
@@ -184,8 +157,9 @@ struct SolverDiagnostics {
   /// Solver that actually produced this result.  kSuperframeProduct only
   /// when the collapse ran; a cycle-stationarity fallback reports
   /// kPerSlot.  For kSuperframeProduct the state-count fields above
-  /// describe the compact message chain (hops + Goal + Discard) the
-  /// collapse operates on, not the unrolled chain.
+  /// describe the compact message chain (sum of the hops' channel state
+  /// counts + Goal + Discard) the collapse operates on, not the unrolled
+  /// chain.
   TransientKernel kernel = TransientKernel::kPerSlot;
 };
 
@@ -201,9 +175,9 @@ struct PathTransientResult {
   /// goal_trajectory[k][i]: transient probability of goal state i after
   /// k * trajectory_stride uplink slots — the data behind the paper's
   /// Fig. 6.  The per-slot kernel records every slot (stride 1, entries
-  /// t = 0..horizon); the superframe-product kernel records cycle
-  /// boundaries only (stride Fup, entries t = 0, Fup, ..., Is * Fup) —
-  /// recording every slot would forfeit the collapse.
+  /// t = 0..horizon); the collapse records cycle boundaries only (stride
+  /// Fup, entries t = 0, Fup, ..., Is * Fup) — recording every slot
+  /// would forfeit the collapse.
   std::vector<std::vector<double>> goal_trajectory;
 
   /// Uplink slots between consecutive goal_trajectory entries.
@@ -227,122 +201,11 @@ struct PathTransientResult {
   SolverDiagnostics diagnostics;
 };
 
-/// Reusable numeric-phase scratch of the skeleton solve path (DESIGN.md
-/// §12).  Every buffer grows to its high-water mark on the first solve
-/// of a given shape and is only rewritten afterwards, so a warm
-/// workspace makes PathModelSkeleton::analyze_into allocation-free.
-/// One workspace per thread; pool with common::WorkspacePool.
-struct SolveWorkspace {
-  // Numeric-phase matrices, primed from the skeleton's patterns: the
-  // per-slot matrices and the cycle product whose `values` arrays are
-  // refilled in place before each solve.
-  std::vector<linalg::CsrMatrix> slots;
-  linalg::CsrMatrix product;
-  markov::ChainRefillArena chain_arena;
-  bool primed = false;
-  PathModelConfig primed_config;  ///< shape the structures were built for
-
-  // Per-slot kernel scratch.
-  std::vector<double> beta;  ///< beta[t][h] flattened to ttl x hops
-  std::vector<double> mass;
-
-  // Superframe kernel scratch.
-  struct Firing {
-    std::uint32_t slot = 0;  ///< 1-based uplink position within the frame
-    std::size_t hop = 0;
-    double ps = 0.0;
-  };
-  std::vector<Firing> firings;
-  std::vector<double> prefix_columns;  ///< firings x dim, flattened
-  linalg::Matrix prefix;
-  linalg::Matrix prefix_next;
-  linalg::Matrix suffix;
-  linalg::Matrix suffix_next;
-  linalg::Matrix attempts;
-  linalg::Matrix delivered_kernel;
-  linalg::Vector p;
-  linalg::Vector p_next;
-  linalg::Vector b;
-  linalg::Vector b_next;
-  linalg::Vector u;
-  linalg::Vector u_next;
-
-  /// Reusable transient output for callers that immediately reduce it to
-  /// measures (sweeps, the cache) and do not keep the full result.
-  PathTransientResult scratch_result;
-};
-
-/// Reusable SoA scratch of PathModelSkeleton::analyze_batch_into
-/// (DESIGN.md §13).  Every numeric structure of the superframe solve is
-/// widened by a lane dimension in entry-major layout — entry k of a
-/// buffer occupies lane array [k * lanes, (k + 1) * lanes) — so the
-/// batched core streams the shared patterns once while the arithmetic
-/// runs lane-parallel.  Buffers reach their high-water mark on the first
-/// solve of a (shape, lane count) and warm batched solves allocate
-/// nothing.  One workspace per thread; pool with common::WorkspacePool.
-struct BatchSolveWorkspace {
-  /// SoA slot values primed from the skeleton's patterns (per slot:
-  /// nonzeros x lanes; constant entries hold 1.0, firing entries are
-  /// refilled per batch) and the SoA cycle-product values they collapse
-  /// into through markov::BatchRefill.
-  std::vector<std::vector<double>> slot_values;
-  std::vector<double> product_values;
-  markov::BatchLaneArena chain_arena;
-  bool primed = false;
-  std::size_t primed_lanes = 0;
-  PathModelConfig primed_config;  ///< shape the structures were built for
-
-  /// Transmission opportunities of one cycle, in slot order, with their
-  /// per-lane success probabilities (firings x lanes).
-  struct Firing {
-    std::uint32_t slot = 0;  ///< 1-based uplink position within the frame
-    std::size_t hop = 0;
-  };
-  std::vector<Firing> firings;
-  std::vector<double> ps;
-
-  // Lane-widened superframe solve scratch (dims as in SolveWorkspace,
-  // each times lanes).
-  std::vector<double> prefix_columns;  ///< firings x dim x lanes
-  std::vector<double> prefix;          ///< dim x dim x lanes
-  std::vector<double> prefix_next;
-  std::vector<double> suffix;
-  std::vector<double> suffix_next;
-  std::vector<double> attempts;  ///< dim x hops x lanes
-  std::vector<double> delivered_kernel;  ///< dim x dim x lanes
-  std::vector<double> p;  ///< dim x lanes
-  std::vector<double> p_next;
-  std::vector<double> b;
-  std::vector<double> b_next;
-  std::vector<double> u;
-  std::vector<double> u_next;
-  std::vector<double> lane_scratch;  ///< lanes
-  std::vector<double> goal_seen;     ///< lanes
-
-  /// Lane bookkeeping of one analyze_batch_into call: which caller
-  /// indices were packed into the SoA solve vs sent to the scalar path.
-  std::vector<std::size_t> batched_index;
-  std::vector<std::size_t> scalar_index;
-  std::vector<PathTransientResult*> result_ptrs;
-  /// Per-candidate firing probabilities gathered during the
-  /// batchability scan (candidate-major: candidate i's values occupy
-  /// [i * firings, (i + 1) * firings)), reused by the refill gather so
-  /// each provider is queried once per firing.
-  std::vector<double> ps_scan;
-
-  /// Scalar-path scratch of the per-lane fallbacks.
-  SolveWorkspace scalar;
-
-  /// Reusable transient outputs for callers that immediately reduce the
-  /// batch to measures (sweeps) and do not keep the full results.
-  std::vector<PathTransientResult> scratch_results;
-};
-
 /// The unrolled path DTMC.
 class PathModel {
  public:
-  /// Validates the config: at least one hop, slots within the frame, no
-  /// two hops sharing a slot, horizon > 0.
+  /// Validates the config (PathModelConfig::validate) and enumerates the
+  /// reachable (t, h) states of the unrolled chain.
   explicit PathModel(PathModelConfig config);
 
   [[nodiscard]] const PathModelConfig& config() const noexcept {
@@ -354,26 +217,17 @@ class PathModel {
   [[nodiscard]] PathTransientResult analyze(
       const LinkProbabilityProvider& links) const;
 
-  /// Transient analysis with solver selection.  kSuperframeProduct
-  /// collapses full cycles through markov::SuperframeKernel when `links`
-  /// is cycle-stationary and otherwise falls back to the per-slot solve
-  /// (recorded in diagnostics.kernel and an obs counter).
+  /// Transient analysis with solver selection.  kSuperframeProduct runs
+  /// analyze_collapsed when `links` is cycle-stationary and otherwise
+  /// falls back to the per-slot solve (recorded in diagnostics.kernel
+  /// and an obs counter).  A provider with a multi-state channel on any
+  /// hop solves the channel-enlarged chain under either kernel.
   [[nodiscard]] PathTransientResult analyze(
       const LinkProbabilityProvider& links,
       const PathAnalysisOptions& options) const;
 
-  /// The Fup + Fdown per-slot transition matrices of one superframe
-  /// cycle over the compact message chain: states 0..n-1 are "waiting at
-  /// hop h", followed by Goal and Discard.  An uplink slot carrying a
-  /// transmission moves hop mass forward with that slot's success
-  /// probability (frozen from the first cycle); idle uplink slots and
-  /// all downlink slots are identities.  Valid input to
-  /// markov::SuperframeKernel whenever `links` is cycle-stationary.
-  [[nodiscard]] std::vector<linalg::CsrMatrix> slot_matrices(
-      const LinkProbabilityProvider& links) const;
-
   /// The cycle_slots() per-slot transition matrices of one cycle over
-  /// the channel-enlarged chain (DESIGN.md §14): states
+  /// the channel-enlarged chain (DESIGN.md §12): states
   /// off[h]..off[h]+k_h-1 are "waiting at hop h in channel state s"
   /// (k_h = hop h's ChannelModel state count, 1 when the hop has none),
   /// followed by Goal and Discard.  Every slot — idle uplink and
@@ -384,7 +238,7 @@ class PathModel {
   /// failure (1 - q_s) times the conditioned transition row.  With
   /// `inject_state_leak` the failure mass is redistributed by the
   /// stationary distribution instead — the channel-state-leak fault the
-  /// oracle must catch.
+  /// oracle must catch.  The per-slot channel walk steps through these.
   [[nodiscard]] std::vector<linalg::CsrMatrix> channel_slot_matrices(
       const LinkProbabilityProvider& links, bool inject_state_leak) const;
 
@@ -408,59 +262,19 @@ class PathModel {
 
   /// Which hop (if any) fires in global uplink slot s (1-based).
   [[nodiscard]] std::optional<std::size_t> hop_in_slot(
-      std::uint32_t global_slot) const noexcept;
+      std::uint32_t global_slot) const noexcept {
+    return config_.hop_in_slot(global_slot);
+  }
 
  private:
-  friend class PathModelSkeleton;
-
-  /// Channel-enlarged solver (path_model_channel.cpp): dispatched by
-  /// analyze() whenever any hop of `links` reports a multi-state
-  /// ChannelModel.  Honors the kernel choice — a per-slot stored-
-  /// backward solve over the enlarged matrices, or the superframe
-  /// collapse through markov::SuperframeKernel — and the product-entry
-  /// and channel-state-leak injections.
-  [[nodiscard]] PathTransientResult analyze_channel(
-      const LinkProbabilityProvider& links,
-      const PathAnalysisOptions& options) const;
-
+  /// The i.i.d. per-slot core (Eq. 5 with a backward delivery pass).
   [[nodiscard]] PathTransientResult analyze_per_slot(
       const LinkProbabilityProvider& links) const;
-  [[nodiscard]] PathTransientResult analyze_superframe(
-      const LinkProbabilityProvider& links, double inject) const;
 
-  /// Shared numeric cores.  Both the fresh analyze paths and the
-  /// skeleton refill path run these exact functions, so fresh and
-  /// refilled solves are bitwise identical by construction — the fresh
-  /// path merely builds its inputs (and a throwaway workspace) first.
-  void analyze_per_slot_into(const LinkProbabilityProvider& links,
-                             SolveWorkspace& workspace,
-                             PathTransientResult& result) const;
-  void analyze_superframe_into(const LinkProbabilityProvider& links,
-                               const std::vector<linalg::CsrMatrix>& slots,
-                               const linalg::CsrMatrix& product,
-                               SolveWorkspace& workspace,
-                               PathTransientResult& result) const;
-
-  /// SoA batch core (DESIGN.md §13): the superframe solve with every
-  /// numeric buffer widened by a lane dimension.  The workspace's
-  /// firings/ps and product_values must already be filled for
-  /// results.size() lanes; per-lane arithmetic order matches
-  /// analyze_superframe_into, so each lane agrees with its scalar solve
-  /// to rounding (1e-12 in the lane-equivalence battery).
-  void analyze_superframe_batch_into(
-      const std::vector<markov::CsrPattern>& slot_patterns,
-      const markov::CsrPattern& product_pattern, BatchSolveWorkspace& workspace,
-      std::span<PathTransientResult* const> results) const;
-  /// Lane-count-specialized body of analyze_superframe_batch_into:
-  /// kLanes == 0 reads the width from results.size() at runtime; the
-  /// fixed-width instantiations (dispatched for common batch sizes) give
-  /// every simd helper a compile-time trip count so the lane loops
-  /// unroll flat.  Arithmetic is identical in every instantiation.
-  template <std::size_t kLanes>
-  void analyze_superframe_batch_lanes(
-      const std::vector<markov::CsrPattern>& slot_patterns,
-      const markov::CsrPattern& product_pattern, BatchSolveWorkspace& workspace,
-      std::span<PathTransientResult* const> results) const;
+  /// The channel-enlarged per-slot core (path_model_channel.cpp).
+  [[nodiscard]] PathTransientResult analyze_channel_per_slot(
+      const LinkProbabilityProvider& links,
+      const PathAnalysisOptions& options) const;
 
   PathModelConfig config_;
   /// state_index_[t][h] for t = 0..ttl-1: dense index of transient state
@@ -470,117 +284,37 @@ class PathModel {
   std::size_t num_states_ = 0;
 };
 
-/// Symbolic phase of the path solve (DESIGN.md §12): Algorithm 1 run
-/// once per (schedule, hop count, Is, TTL) shape.  The skeleton owns the
-/// state enumeration (its PathModel), the per-slot CSR sparsity patterns
-/// with a provenance map from each firing slot's two live nonzeros to
-/// their values indices, and the symbolic cycle-product chain.
-/// `analyze_into` is the numeric phase: it refills only the `values`
-/// arrays from a link provider into a SolveWorkspace and solves through
-/// the same numeric cores as PathModel::analyze — no re-enumeration, no
-/// allocation once the workspace is warm, results bitwise equal to a
-/// fresh build.
-class PathModelSkeleton {
- public:
-  /// Runs the symbolic phase (validates the config like PathModel).
-  explicit PathModelSkeleton(PathModelConfig config);
+/// The dense firing-only cycle collapse (DESIGN.md §11).  Solves `config`
+/// under a cycle-stationary provider without enumerating the unrolled
+/// chain: one cycle of the compact chain (each hop's channel states,
+/// then Goal and Discard) folds into a dense cycle matrix by column
+/// updates at the firing slots only — idle slots are identities for
+/// i.i.d. hops and per-hop-block powers T_h^r of the channel transition
+/// matrix for channel hops — together with the per-cycle attempt and
+/// delivered-attempt accounting.  Full pre-TTL cycles then advance in
+/// one dense step each; the cycle the TTL cuts walks its firings.
+/// Honors inject_product_error and inject_channel_state_leak; ignores
+/// `options.kernel`.  Throws precondition_error when `links` is not
+/// cycle-stationary or does not cover every hop.
+[[nodiscard]] PathTransientResult analyze_collapsed(
+    const PathModelConfig& config, const LinkProbabilityProvider& links,
+    const PathAnalysisOptions& options = {});
 
-  [[nodiscard]] const PathModel& model() const noexcept { return model_; }
-  [[nodiscard]] const PathModelConfig& config() const noexcept {
-    return model_.config();
-  }
+/// The dense cycle matrix analyze_collapsed advances through: entry
+/// (x, y) is the probability of moving from state x at the start of a
+/// superframe cycle to state y at its end (uplink and downlink halves).
+/// Row-stochastic up to rounding unless inject_product_error is set.
+[[nodiscard]] linalg::Matrix cycle_matrix(
+    const PathModelConfig& config, const LinkProbabilityProvider& links,
+    const PathAnalysisOptions& options = {});
 
-  /// Numeric phase.  Falls back to a fresh model().analyze — counted as
-  /// `hart.skeleton.refill_fallback` — when refilling cannot reproduce a
-  /// fresh build: a degenerate firing probability (ps of 0 or 1 changes
-  /// the captured sparsity pattern) or a product-entry injection.  A
-  /// non-cycle-stationary provider under kSuperframeProduct degrades to
-  /// the per-slot core exactly like PathModel::analyze.
-  void analyze_into(const LinkProbabilityProvider& links,
-                    const PathAnalysisOptions& options,
-                    SolveWorkspace& workspace,
-                    PathTransientResult& result) const;
-
-  /// Incremental numeric phase (DESIGN.md §15): like analyze_into, but
-  /// instead of refilling the whole cycle-product chain it reuses
-  /// `product`'s cached partial values and replays only the Gustavson
-  /// rows reachable from the firing entries of `changed_hops` — bitwise
-  /// equal to a full refill (markov::IncrementalProduct).  Contract:
-  /// `workspace` and `product` are dedicated to this skeleton and to
-  /// incremental solves; between calls, the slot values of hops *not* in
-  /// `changed_hops` must still hold the probabilities of the previous
-  /// call (the caller re-solves to revert a perturbation, passing the
-  /// same hops).  An unseeded product is seeded by a full replay
-  /// (`changed_hops` is then ignored).  Returns false — `result`
-  /// untouched, workspace and product unmodified — when the incremental
-  /// path cannot reproduce a fresh build: per-slot kernel, non-cycle-
-  /// stationary provider, channel enlargement, degenerate firing
-  /// probability, or a refill-path injection; the caller then solves
-  /// through analyze_into (with a separate workspace).
-  bool analyze_incremental_into(const LinkProbabilityProvider& links,
-                                const PathAnalysisOptions& options,
-                                std::span<const std::size_t> changed_hops,
-                                markov::IncrementalProduct& product,
-                                SolveWorkspace& workspace,
-                                PathTransientResult& result) const;
-
-  /// Batched numeric phase (DESIGN.md §13): refill up to
-  /// options.batch_lanes evaluation points through one SoA pass over the
-  /// shared patterns and solve them lane-parallel.  `links` and `results`
-  /// are parallel arrays (one provider and output per lane).  Lanes the
-  /// batch core cannot reproduce exactly — non-cycle-stationary
-  /// providers, degenerate firing probabilities, or injection options —
-  /// are routed through the scalar analyze_into per lane (counted as
-  /// `hart.batch.remainder_points`); a batch only forms when at least
-  /// two lanes qualify.  Each batched lane agrees with its scalar solve
-  /// to rounding (~1e-15 relative), not bitwise: SIMD backends may fuse
-  /// multiply-adds differently from the scalar build.
-  void analyze_batch_into(std::span<const LinkProbabilityProvider* const> links,
-                          const PathAnalysisOptions& options,
-                          BatchSolveWorkspace& workspace,
-                          std::span<PathTransientResult> results) const;
-
-  /// Where a firing slot's two mutable values live in its slot matrix.
-  struct SlotProvenance {
-    std::uint32_t slot = 0;  ///< 1-based uplink slot within the frame
-    std::size_t hop = 0;
-    std::size_t failure_index = 0;  ///< values index of the (h, h) entry
-    std::size_t success_index = 0;  ///< values index of (h, target)
-  };
-
-  /// Per-slot sparsity patterns (Fup + Fdown entries) of one cycle.
-  [[nodiscard]] const std::vector<markov::CsrPattern>& slot_patterns()
-      const noexcept {
-    return slot_patterns_;
-  }
-
-  /// Symbolic cycle-product chain over the slot patterns.
-  [[nodiscard]] const markov::ChainProductSkeleton& chain() const noexcept {
-    return chain_;
-  }
-
-  /// Firing-slot provenance in slot order (which values indices each
-  /// transmission opportunity's failure/success probabilities occupy).
-  [[nodiscard]] std::span<const SlotProvenance> provenance() const noexcept {
-    return provenance_;
-  }
-
- private:
-  /// Materialize workspace slot/product structures from the patterns.
-  void prime(SolveWorkspace& workspace) const;
-
-  /// Materialize the SoA slot/product value arrays for `lanes` lanes.
-  void prime_batch(BatchSolveWorkspace& workspace, std::size_t lanes) const;
-
-  PathModel model_;
-  std::vector<markov::CsrPattern> slot_patterns_;
-  markov::ChainProductSkeleton chain_;
-  std::vector<SlotProvenance> provenance_;
-  /// Compiled SoA replay plan over chain_/slot_patterns_ (DESIGN.md
-  /// §13), built once here with the rest of the symbolic phase.  Borrows
-  /// the two members above, which also keeps the skeleton non-copyable
-  /// by value — it is always shared by pointer.
-  std::unique_ptr<const markov::BatchRefill> batch_refill_;
-};
+/// Transient analysis of `config` with solver selection, the entry point
+/// of the network analysis, the path cache, the sweeps and the what-if
+/// engine: analyze_collapsed when the kernel is kSuperframeProduct and
+/// `links` is cycle-stationary (no PathModel is built), otherwise
+/// PathModel(config).analyze(links, options).
+[[nodiscard]] PathTransientResult analyze_path(
+    const PathModelConfig& config, const LinkProbabilityProvider& links,
+    const PathAnalysisOptions& options);
 
 }  // namespace whart::hart

@@ -39,10 +39,7 @@ net::Schedule build_min_worst_delay_schedule(
 /// Exact worst-case expected path delay of a schedule (ms), from the
 /// per-path DTMC solves — the quantity build_min_worst_delay_schedule
 /// minimizes, scored exactly so candidate layouts can be compared.
-/// AnalysisOptions selects threads, caching, the transient kernel and
-/// skeleton reuse; scoring many candidate layouts benefits directly
-/// from the symbolic/numeric split (one skeleton per chain shape,
-/// numeric refills per candidate — see DESIGN.md §12).
+/// AnalysisOptions selects threads, caching and the transient kernel.
 double worst_expected_delay(const net::Network& network,
                             const std::vector<net::Path>& paths,
                             const net::Schedule& schedule,
@@ -52,9 +49,9 @@ double worst_expected_delay(const net::Network& network,
 
 class WhatIfEngine;
 
-/// What-if variant (DESIGN.md §15): the worst-case expected path delay
+/// What-if variant (DESIGN.md §11): the worst-case expected path delay
 /// after `link`'s availability moves to `availability`, served from the
-/// incremental engine — only paths scheduled over the link re-solve;
+/// what-if engine — only paths scheduled over the link re-solve;
 /// every other path's cached delay is reused.
 double worst_expected_delay(WhatIfEngine& engine, net::LinkId link,
                             double availability);

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "whart/hart/link_probability.hpp"
@@ -26,24 +25,12 @@ namespace whart::hart {
 /// increase of hop h's per-attempt success probability (all attempts of
 /// that hop move together, as they do when its stationary availability
 /// improves).  All entries are >= 0.  kSuperframeProduct folds the
-/// adjoint cycle-by-cycle through the superframe product (one bilinear
+/// adjoint cycle-by-cycle through the dense cycle matrix (one bilinear
 /// form per cycle instead of a per-slot sweep) when `links` is
 /// cycle-stationary, agreeing with the per-slot sweep to rounding;
 /// otherwise it falls back to per-slot.
 std::vector<double> reachability_sensitivity(
     const PathModel& model, const LinkProbabilityProvider& links,
-    TransientKernel kernel = TransientKernel::kPerSlot);
-
-/// Batched sensitivity (DESIGN.md §13): one adjoint sweep over the
-/// skeleton's shared patterns prices every provider at once, SoA
-/// lane-parallel.  Returns one dR/dps vector per provider, in order.
-/// Lanes the batch sweep cannot take (kernel != kSuperframeProduct or a
-/// non-cycle-stationary provider) run the scalar sweep instead, as does
-/// the whole call when fewer than two lanes qualify; batched lanes agree
-/// with their scalar sweeps to rounding (~1e-15 relative).
-std::vector<std::vector<double>> reachability_sensitivity_batch(
-    const PathModelSkeleton& skeleton,
-    std::span<const LinkProbabilityProvider* const> links,
     TransientKernel kernel = TransientKernel::kPerSlot);
 
 /// Network-level link ranking: for every link, the summed dR/dpi over
@@ -58,19 +45,13 @@ struct LinkSensitivity {
 /// Rank all links of a scheduled network, most valuable upgrade first.
 /// Per-path sensitivities are computed concurrently (`threads` as in
 /// common::parallel_for); the ranking is independent of the thread count.
-/// Paths sharing a schedule shape (equal skeleton fingerprints, DESIGN.md
-/// §12) share one symbolic model build — the adjoint sweep reads only
-/// the shape, so the ranking is bitwise-identical to per-path builds.
-/// `batch_lanes > 1` additionally groups same-shape paths into SoA
-/// batches of at most that many lanes priced through
-/// reachability_sensitivity_batch (the ranking then agrees with the
-/// scalar path to rounding rather than bitwise).
+/// Steady-state links are cycle-stationary, so the default kernel prices
+/// every path through the collapsed adjoint.
 std::vector<LinkSensitivity> rank_link_upgrades(
     const net::Network& network, const std::vector<net::Path>& paths,
     const net::Schedule& schedule, net::SuperframeConfig superframe,
     std::uint32_t reporting_interval, unsigned threads = 0,
-    TransientKernel kernel = TransientKernel::kPerSlot,
-    std::size_t batch_lanes = 1);
+    TransientKernel kernel = TransientKernel::kSuperframeProduct);
 
 class WhatIfEngine;
 
@@ -89,9 +70,9 @@ struct LinkUpgradeImpact {
   std::size_t paths_using = 0;
 };
 
-/// The exact complement of rank_link_upgrades (DESIGN.md §15): move every
+/// The exact complement of rank_link_upgrades (DESIGN.md §11): move every
 /// link's availability to `target_availability` one at a time through the
-/// incremental what-if engine — only the paths using each link are
+/// what-if engine — only the paths using each link are
 /// re-solved; every other path's cached measures are reused — and rank
 /// the finite gains, largest first (ties keep ascending link-id order).
 /// Where rank_link_upgrades prices the *derivative* dR/dpi, this prices

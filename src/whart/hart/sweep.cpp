@@ -1,106 +1,16 @@
 #include "whart/hart/sweep.hpp"
 
-#include <limits>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 
 #include "whart/common/contracts.hpp"
 #include "whart/common/obs.hpp"
 #include "whart/common/parallel.hpp"
-#include "whart/hart/path_cache.hpp"
 #include "whart/report/csv.hpp"
 
 namespace whart::hart {
 
 namespace {
-
-PathMeasures measure_with_links(const PathModelConfig& config,
-                                const link::LinkModel& model,
-                                TransientKernel kernel) {
-  const PathModel path_model(config);
-  const SteadyStateLinks links(config.hop_count(), model);
-  PathAnalysisOptions options;
-  options.kernel = kernel;
-  return compute_path_measures(path_model, links, options);
-}
-
-/// Channel counterpart of measure_with_links: the overlay rescaled so
-/// its stationary marginal success equals the point's availability,
-/// solved through the channel-enlarged DTMC.  Always a fresh solve —
-/// the skeleton/batch refill patterns key the i.i.d. shape.
-PathMeasures measure_with_channel(const PathModelConfig& config,
-                                  const link::LinkModel& model,
-                                  const link::ChannelModel& channel,
-                                  TransientKernel kernel) {
-  const PathModel path_model(config);
-  const ChannelLinks links(
-      config.hop_count(),
-      channel.with_marginal_success(model.steady_state_availability()));
-  PathAnalysisOptions options;
-  options.kernel = kernel;
-  return compute_path_measures(path_model, links, options);
-}
-
-/// Numeric-refill counterpart of measure_with_links: the skeleton holds
-/// the symbolic phase, the pooled workspace the warm buffers.  Bitwise
-/// equal to measure_with_links on the skeleton's config (shared numeric
-/// core — see DESIGN.md §12).
-PathMeasures measure_with_skeleton(
-    const PathModelSkeleton& skeleton,
-    common::WorkspacePool<SolveWorkspace>& workspaces,
-    const link::LinkModel& model, TransientKernel kernel) {
-  const SteadyStateLinks links(skeleton.config().hop_count(), model);
-  PathAnalysisOptions options;
-  options.kernel = kernel;
-  auto workspace = workspaces.acquire();
-  skeleton.analyze_into(links, options, *workspace,
-                        workspace->scratch_result);
-  return measures_from_transient(skeleton.config(),
-                                 workspace->scratch_result);
-}
-
-/// Shapes the process-wide skeleton store keeps warm; the 65th distinct
-/// shape evicts the least recently used one.  Far above any single
-/// sweep's shape count (hop-count sweeps span a few dozen shapes), so
-/// eviction only triggers across long multi-shape sessions.
-constexpr std::size_t kSkeletonStoreCapacity = 64;
-
-/// LRU-bounded fingerprint-keyed skeleton store.  Calls are serialized
-/// by the caller's mutex.
-class SkeletonStore {
- public:
-  /// The stored skeleton for `key`, building (and storing) one from
-  /// `config` on a miss; either way the entry becomes most recent.
-  std::shared_ptr<const PathModelSkeleton> acquire(
-      const std::string& key, const PathModelConfig& config) {
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      recency_.splice(recency_.begin(), recency_, it->second.position);
-      return it->second.skeleton;
-    }
-    auto skeleton = std::make_shared<const PathModelSkeleton>(config);
-    recency_.push_front(key);
-    entries_.emplace(key, Entry{skeleton, recency_.begin()});
-    if (entries_.size() > kSkeletonStoreCapacity) {
-      entries_.erase(recency_.back());
-      recency_.pop_back();
-      WHART_COUNT("hart.skeleton.store_evictions");
-    }
-    return skeleton;
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<const PathModelSkeleton> skeleton;
-    std::list<std::string>::iterator position;
-  };
-  std::list<std::string> recency_;  ///< most recent first
-  std::unordered_map<std::string, Entry> entries_;
-};
 
 /// One grid point of any sweep: the swept parameter, the model shape it
 /// evaluates, and the link model supplying its availabilities.
@@ -110,153 +20,33 @@ struct PointSpec {
   link::LinkModel model;
 };
 
-/// Shared sweep runner.  Solves every spec (in parallel across points or
-/// batches) and returns SweepPoints in spec order.  With skeleton reuse,
-/// points with equal skeleton fingerprints share one symbolic build; with
-/// batch_lanes > 1 they are additionally chunked — preserving
-/// first-appearance order, contiguity not required — into SoA batches of
-/// at most batch_lanes lanes solved through analyze_batch_into.
+/// Shared sweep runner: solves every spec (in parallel across points)
+/// and returns SweepPoints in spec order.  With `channel`, each point
+/// rescales the overlay to its availability and solves the enlarged
+/// chain.
 std::vector<SweepPoint> solve_points(const std::vector<PointSpec>& specs,
                                      unsigned threads, TransientKernel kernel,
-                                     bool reuse_skeleton,
-                                     std::size_t batch_lanes,
                                      const link::ChannelModel* channel) {
-  if (channel != nullptr)
-    return common::parallel_map(
-        specs,
-        [&](const PointSpec& spec) {
-          return SweepPoint{spec.parameter,
-                            measure_with_channel(spec.config, spec.model,
-                                                 *channel, kernel)};
-        },
-        threads);
-  if (!reuse_skeleton)
-    return common::parallel_map(
-        specs,
-        [&](const PointSpec& spec) {
-          return SweepPoint{spec.parameter,
-                            measure_with_links(spec.config, spec.model,
-                                               kernel)};
-        },
-        threads);
-
-  // One symbolic build per distinct shape, shared across its points.
-  // Most sweeps vary only the link model, so consecutive points usually
-  // share a shape: compare the fingerprint-relevant config fields against
-  // the previous point before paying for a fingerprint build and a map
-  // probe — the common all-same-shape sweep then fingerprints once.
-  const auto same_shape = [](const PathModelConfig& a,
-                             const PathModelConfig& b) {
-    return a.superframe.uplink_slots == b.superframe.uplink_slots &&
-           a.reporting_interval == b.reporting_interval &&
-           a.effective_ttl() == b.effective_ttl() &&
-           a.hop_slots == b.hop_slots && a.retry_slots == b.retry_slots;
-  };
-  // The store is process-wide, not per call: sweeps are typically
-  // invoked many times on one schedule shape (sensitivity perturbs the
-  // links only, rank_link_upgrades re-sweeps per candidate link), so a
-  // shape's symbolic phase runs once per process.  Skeletons are
-  // immutable after construction and handed out as shared const
-  // pointers, so eviction never invalidates a holder — it only forces
-  // the next sweep of that shape to rebuild.  The store is LRU-bounded
-  // (kSkeletonStoreCapacity shapes) so long multi-shape sweeps cannot
-  // grow it without limit; evictions are counted as
-  // `hart.skeleton.store_evictions`.
-  static std::mutex skeleton_mutex;
-  static SkeletonStore skeleton_store;
-
-  // Points carry a dense shape id instead of a fingerprint string —
-  // per-point work is then an integer copy, not a string allocation and
-  // hash probe.
-  std::vector<std::size_t> shape_of(specs.size());
-  std::vector<std::shared_ptr<const PathModelSkeleton>> shapes;
-  std::unordered_map<std::string, std::size_t> shape_ids;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const PointSpec& spec = specs[i];
-    if (i > 0 && same_shape(spec.config, specs[i - 1].config)) {
-      shape_of[i] = shape_of[i - 1];
-      continue;
-    }
-    std::string key =
-        PathAnalysisCache::skeleton_fingerprint(spec.config, kernel);
-    const auto [it, inserted] =
-        shape_ids.try_emplace(std::move(key), shapes.size());
-    if (inserted) {
-      const std::lock_guard lock(skeleton_mutex);
-      shapes.push_back(skeleton_store.acquire(it->first, spec.config));
-    }
-    shape_of[i] = it->second;
-  }
-
-  std::vector<SweepPoint> points(specs.size());
-  if (batch_lanes <= 1) {
-    common::WorkspacePool<SolveWorkspace> workspaces;
-    common::parallel_for(
-        specs.size(),
-        [&](std::size_t i) {
-          points[i] =
-              SweepPoint{specs[i].parameter,
-                         measure_with_skeleton(*shapes[shape_of[i]],
-                                               workspaces, specs[i].model,
-                                               kernel)};
-        },
-        threads);
-    return points;
-  }
-
-  // Chunk same-shape point indices into lane batches of at most
-  // batch_lanes.  A batch fills until full, then the next same-shape
-  // point opens a fresh one, so non-contiguous same-shape points group
-  // together while output order stays the caller's.
-  constexpr std::size_t kNoBatch = std::numeric_limits<std::size_t>::max();
-  std::vector<std::vector<std::size_t>> batches;
-  std::vector<std::size_t> open(shapes.size(), kNoBatch);  // shape -> batch
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    std::size_t& slot = open[shape_of[i]];
-    if (slot == kNoBatch) {
-      slot = batches.size();
-      batches.emplace_back();
-    }
-    std::vector<std::size_t>& batch = batches[slot];
-    batch.push_back(i);
-    if (batch.size() == batch_lanes) slot = kNoBatch;
-  }
-
-  common::WorkspacePool<BatchSolveWorkspace> workspaces;
-  common::parallel_for(
-      batches.size(),
-      [&](std::size_t bi) {
-        const std::vector<std::size_t>& batch = batches[bi];
-        const PathModelSkeleton& skeleton =
-            *shapes[shape_of[batch.front()]];
-        PathAnalysisOptions options;
-        options.kernel = kernel;
-        options.batch_lanes = batch_lanes;
-        auto workspace = workspaces.acquire();
-        // Reserve before taking element pointers — emplace_back must not
-        // reallocate under the provider span.
-        std::vector<SteadyStateLinks> links;
-        links.reserve(batch.size());
-        std::vector<const LinkProbabilityProvider*> providers;
-        providers.reserve(batch.size());
-        for (std::size_t i : batch) {
-          links.emplace_back(skeleton.config().hop_count(), specs[i].model);
-          providers.push_back(&links.back());
+  PathAnalysisOptions options;
+  options.kernel = kernel;
+  return common::parallel_map(
+      specs,
+      [&](const PointSpec& spec) {
+        const std::size_t hops = spec.config.hop_count();
+        PathTransientResult transient;
+        if (channel != nullptr) {
+          const ChannelLinks links(
+              hops, channel->with_marginal_success(
+                        spec.model.steady_state_availability()));
+          transient = analyze_path(spec.config, links, options);
+        } else {
+          const SteadyStateLinks links(hops, spec.model);
+          transient = analyze_path(spec.config, links, options);
         }
-        workspace->scratch_results.resize(batch.size());
-        skeleton.analyze_batch_into(providers, options, *workspace,
-                                    workspace->scratch_results);
-        // Measures come from each point's own config: batch lanes share a
-        // shape fingerprint (frame, Is, TTL, firing pattern), not the
-        // Fdown/gateway-offset fields the delay measures read.
-        for (std::size_t j = 0; j < batch.size(); ++j)
-          points[batch[j]] = SweepPoint{
-              specs[batch[j]].parameter,
-              measures_from_transient(specs[batch[j]].config,
-                                      workspace->scratch_results[j])};
+        return SweepPoint{spec.parameter,
+                          measures_from_transient(spec.config, transient)};
       },
       threads);
-  return points;
 }
 
 }  // namespace
@@ -275,7 +65,6 @@ std::vector<double> linspace(double first, double last, std::size_t count) {
 SweepSeries sweep_availability(const PathModelConfig& config,
                                const std::vector<double>& availabilities,
                                unsigned threads, TransientKernel kernel,
-                               bool reuse_skeleton, std::size_t batch_lanes,
                                const link::ChannelModel* channel) {
   expects(!availabilities.empty(), "at least one sample");
   WHART_REQUEST_SPAN("sweep_availability");
@@ -286,15 +75,13 @@ SweepSeries sweep_availability(const PathModelConfig& config,
   specs.reserve(availabilities.size());
   for (double pi : availabilities)
     specs.push_back({pi, config, link::LinkModel::from_availability(pi)});
-  series.points = solve_points(specs, threads, kernel, reuse_skeleton,
-                               batch_lanes, channel);
+  series.points = solve_points(specs, threads, kernel, channel);
   return series;
 }
 
 SweepSeries sweep_ber(const PathModelConfig& config,
                       const std::vector<double>& bit_error_rates,
                       unsigned threads, TransientKernel kernel,
-                      bool reuse_skeleton, std::size_t batch_lanes,
                       const link::ChannelModel* channel) {
   expects(!bit_error_rates.empty(), "at least one sample");
   WHART_REQUEST_SPAN("sweep_ber");
@@ -305,8 +92,7 @@ SweepSeries sweep_ber(const PathModelConfig& config,
   specs.reserve(bit_error_rates.size());
   for (double ber : bit_error_rates)
     specs.push_back({ber, config, link::LinkModel::from_ber(ber)});
-  series.points = solve_points(specs, threads, kernel, reuse_skeleton,
-                               batch_lanes, channel);
+  series.points = solve_points(specs, threads, kernel, channel);
   return series;
 }
 
@@ -314,7 +100,6 @@ SweepSeries sweep_hop_count(std::uint32_t max_hops, double availability,
                             net::SuperframeConfig superframe,
                             std::uint32_t reporting_interval,
                             unsigned threads, TransientKernel kernel,
-                            bool reuse_skeleton, std::size_t batch_lanes,
                             const link::ChannelModel* channel) {
   expects(max_hops >= 1, "max_hops >= 1");
   expects(max_hops <= superframe.uplink_slots, "hops fit in the frame");
@@ -335,16 +120,14 @@ SweepSeries sweep_hop_count(std::uint32_t max_hops, double availability,
     specs.push_back(
         {static_cast<double>(hops), std::move(config), model});
   }
-  series.points = solve_points(specs, threads, kernel, reuse_skeleton,
-                               batch_lanes, channel);
+  series.points = solve_points(specs, threads, kernel, channel);
   return series;
 }
 
 SweepSeries sweep_reporting_interval_series(
     const PathModelConfig& base_config, double availability,
     const std::vector<std::uint32_t>& intervals, unsigned threads,
-    TransientKernel kernel, bool reuse_skeleton, std::size_t batch_lanes,
-    const link::ChannelModel* channel) {
+    TransientKernel kernel, const link::ChannelModel* channel) {
   expects(!intervals.empty(), "at least one interval");
   WHART_REQUEST_SPAN("sweep_reporting_interval");
   WHART_COUNT_N("hart.sweep.points", intervals.size());
@@ -360,8 +143,7 @@ SweepSeries sweep_reporting_interval_series(
     config.ttl.reset();
     specs.push_back({static_cast<double>(is), std::move(config), model});
   }
-  series.points = solve_points(specs, threads, kernel, reuse_skeleton,
-                               batch_lanes, channel);
+  series.points = solve_points(specs, threads, kernel, channel);
   return series;
 }
 

@@ -1,13 +1,11 @@
 #include "whart/hart/what_if.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "whart/common/contracts.hpp"
 #include "whart/common/obs.hpp"
 #include "whart/common/parallel.hpp"
-#include "whart/hart/path_cache.hpp"
 
 namespace whart::hart {
 
@@ -24,11 +22,6 @@ WhatIfEngine::WhatIfEngine(const net::Network& network,
   states_.resize(paths.size());
   baseline_.resize(paths.size());
 
-  // Serial symbolic pre-pass: shapes share one skeleton (the same
-  // fingerprint grouping analyze_network applies) and every path gets a
-  // product cache borrowing its skeleton's chain.
-  std::unordered_map<std::string, std::shared_ptr<const PathModelSkeleton>>
-      skeletons;
   for (std::size_t p = 0; p < paths.size(); ++p) {
     PathState& state = states_[p];
     state.config = PathModelConfig::from_schedule(schedule, p, superframe,
@@ -37,97 +30,41 @@ WhatIfEngine::WhatIfEngine(const net::Network& network,
     state.availability.reserve(state.config.hop_count());
     for (const link::LinkModel& model : paths[p].hop_models(network))
       state.availability.push_back(model.steady_state_availability());
-    auto& slot = skeletons[PathAnalysisCache::skeleton_fingerprint(
-        state.config, options_.kernel)];
-    if (slot == nullptr)
-      slot = std::make_shared<const PathModelSkeleton>(state.config);
-    state.skeleton = slot;
-    state.product = std::make_unique<markov::IncrementalProduct>(
-        state.skeleton->chain(), state.skeleton->slot_patterns());
     for (net::LinkId link : state.hop_links) {
       std::vector<std::size_t>& users = paths_of_link_[link];
       if (users.empty() || users.back() != p) users.push_back(p);
     }
   }
 
-  // Baseline fan-out: seed each path's product (a full replay) and cache
-  // its measures.  The availabilities are derived exactly as
+  // Baseline fan-out.  The availabilities are derived exactly as
   // analyze_network derives them, so a what-if back to a link's baseline
   // availability reproduces these measures bitwise.
+  PathAnalysisOptions path_options;
+  path_options.kernel = options_.kernel;
   common::parallel_for(
       paths.size(),
       [&](std::size_t p) {
-        PathState& state = states_[p];
-        PathAnalysisOptions path_options;
-        path_options.kernel = options_.kernel;
+        const PathState& state = states_[p];
         const SteadyStateLinks links(state.availability);
-        if (state.skeleton->analyze_incremental_into(
-                links, path_options, {}, *state.product, state.workspace,
-                state.workspace.scratch_result)) {
-          state.incremental_ok = true;
-        } else {
-          state.skeleton->analyze_into(links, path_options, state.workspace,
-                                       state.workspace.scratch_result);
-        }
-        baseline_[p] =
-            measures_from_transient(state.config, state.workspace.scratch_result);
+        baseline_[p] = measures_from_transient(
+            state.config, analyze_path(state.config, links, path_options));
       },
       options_.threads);
   WHART_COUNT("hart.whatif.engines");
   WHART_GAUGE_SET("hart.whatif.paths", static_cast<double>(paths.size()));
 }
 
-void WhatIfEngine::revert_path(PathState& state) {
-  // Restore the baseline firing values and product partials directly —
-  // SteadyStateLinks is slot-independent, so the written values are the
-  // very doubles the baseline provider produced and the targeted replay
-  // returns every partial row to its bitwise-baseline value.
-  for (const PathModelSkeleton::SlotProvenance& prov :
-       state.skeleton->provenance()) {
-    bool changed = false;
-    for (std::size_t hop : state.changed_hops) changed |= prov.hop == hop;
-    if (!changed) continue;
-    const double ps = state.availability[prov.hop];
-    const std::span<double> values =
-        state.workspace.slots[prov.slot - 1].values();
-    values[prov.failure_index] = 1.0 - ps;
-    values[prov.success_index] = ps;
-    state.product->update(prov.slot - 1, prov.failure_index);
-    state.product->update(prov.slot - 1, prov.success_index);
-  }
-  state.product->propagate(state.workspace.slots);
-}
-
 void WhatIfEngine::resolve_path(std::size_t p, net::LinkId link,
-                                double availability, PathMeasures& out) {
-  PathState& state = states_[p];
-  state.changed_hops.clear();
-  state.scratch_availability = state.availability;
+                                double availability, PathMeasures& out) const {
+  const PathState& state = states_[p];
+  std::vector<double> perturbed = state.availability;
   for (std::size_t h = 0; h < state.hop_links.size(); ++h)
-    if (state.hop_links[h] == link) {
-      state.changed_hops.push_back(h);
-      state.scratch_availability[h] = availability;
-    }
-  const SteadyStateLinks links(state.scratch_availability);
+    if (state.hop_links[h] == link) perturbed[h] = availability;
+  const SteadyStateLinks links(std::move(perturbed));
   PathAnalysisOptions path_options;
   path_options.kernel = options_.kernel;
-  path_options.inject_stale_product_row = options_.inject_stale_product_row;
-  if (state.incremental_ok &&
-      state.skeleton->analyze_incremental_into(links, path_options,
-                                               state.changed_hops,
-                                               *state.product, state.workspace,
-                                               scratch_transient_)) {
-    out = measures_from_transient(state.config, scratch_transient_);
-    revert_path(state);
-    return;
-  }
-  // Fresh fallback (degenerate probability, per-slot kernel, ...): the
-  // skeleton-cached solve analyze_network itself would run, on a scratch
-  // workspace so the incremental slot values stay at baseline.
-  WHART_COUNT("hart.whatif.fresh_fallbacks");
-  state.skeleton->analyze_into(links, path_options, fallback_workspace_,
-                               scratch_transient_);
-  out = measures_from_transient(state.config, scratch_transient_);
+  out = measures_from_transient(
+      state.config, analyze_path(state.config, links, path_options));
 }
 
 WhatIfResult WhatIfEngine::what_if(net::LinkId link, double availability) {
@@ -164,11 +101,12 @@ WhatIfDelta WhatIfEngine::what_if_delta(net::LinkId link,
       it != paths_of_link_.end() ? it->second : kNone;
   std::vector<double> new_delays;
   new_delays.reserve(affected.size());
+  PathMeasures resolved;
   for (std::size_t p : affected) {
-    resolve_path(p, link, availability, scratch_measures_);
+    resolve_path(p, link, availability, resolved);
     delta.reachability_delta +=
-        scratch_measures_.reachability - baseline_[p].reachability;
-    new_delays.push_back(scratch_measures_.expected_delay_ms);
+        resolved.reachability - baseline_[p].reachability;
+    new_delays.push_back(resolved.expected_delay_ms);
   }
   std::size_t next = 0;
   for (std::size_t p = 0; p < baseline_.size(); ++p) {

@@ -1,24 +1,21 @@
-// Incremental what-if evaluation (DESIGN.md §15): the interactive
+// What-if evaluation (DESIGN.md §11): the interactive
 // re-planning loop of the paper's evaluation — "what happens to
 // reachability and delay if this one link degrades or is upgraded?" —
 // answered without re-solving the network.  The engine caches, per path,
-// the symbolic skeleton, a warm workspace, the baseline PathMeasures and
-// an IncrementalProduct holding the cycle product's partial values; a
-// what-if on one link re-solves only the paths whose schedules contain
-// that link (through the skeleton's firing-slot provenance map and
-// targeted Gustavson row replay) and returns every other path's cached
-// measures untouched.
+// the model config, the resolved hop links and the baseline
+// PathMeasures; a what-if on one link re-solves only the paths whose
+// schedules contain that link (typically a handful) through the dense
+// cycle collapse and returns every other path's cached measures
+// untouched.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "whart/hart/network_analysis.hpp"
 #include "whart/hart/path_analysis.hpp"
-#include "whart/markov/incremental_product.hpp"
 #include "whart/net/ids.hpp"
 #include "whart/net/path.hpp"
 #include "whart/net/schedule.hpp"
@@ -29,20 +26,12 @@ namespace whart::hart {
 
 /// Construction knobs of WhatIfEngine.
 struct WhatIfOptions {
-  /// Transient kernel of the per-path solves.  The incremental product
-  /// replay exists only under kSuperframeProduct; with kPerSlot every
-  /// affected path re-solves through the (still skeleton-cached) per-slot
-  /// core.
+  /// Transient kernel of the per-path solves.
   TransientKernel kernel = TransientKernel::kSuperframeProduct;
 
   /// Worker threads of the baseline fan-out (0 = WHART_THREADS).
   /// What-if queries themselves run serially — they touch few paths.
   unsigned threads = 0;
-
-  /// Verification-harness fault injection, forwarded to
-  /// PathAnalysisOptions::inject_stale_product_row on the incremental
-  /// solves.  Always 0 in production.
-  double inject_stale_product_row = 0.0;
 };
 
 /// Full result of one what-if: per-path measures in path order.
@@ -67,7 +56,7 @@ struct WhatIfDelta {
   std::size_t paths_resolved = 0;
 };
 
-/// Cached incremental re-solver over one (network, paths, schedule)
+/// Cached per-path re-solver over one (network, paths, schedule)
 /// analysis.  The baseline pass derives each path's hop availabilities
 /// exactly as analyze_network does (steady-state link models), so a
 /// what-if back to a link's baseline availability reproduces the
@@ -112,28 +101,13 @@ class WhatIfEngine {
  private:
   struct PathState {
     PathModelConfig config;
-    std::vector<net::LinkId> hop_links;    ///< resolved link per hop
-    std::vector<double> availability;      ///< baseline per-hop
-    std::shared_ptr<const PathModelSkeleton> skeleton;
-    std::unique_ptr<markov::IncrementalProduct> product;
-    SolveWorkspace workspace;
-    /// Baseline seeding succeeded, so incremental solves apply; when
-    /// false (e.g. a degenerate firing probability at baseline) every
-    /// what-if on this path re-solves fresh through analyze_into.
-    bool incremental_ok = false;
-    /// Hop indices and perturbed availabilities of the current query.
-    std::vector<std::size_t> changed_hops;
-    std::vector<double> scratch_availability;
+    std::vector<net::LinkId> hop_links;  ///< resolved link per hop
+    std::vector<double> availability;    ///< baseline per-hop
   };
 
   /// Solve path `p` with `link` moved to `availability`, into `out`.
   void resolve_path(std::size_t p, net::LinkId link, double availability,
-                    PathMeasures& out);
-
-  /// Restore path `p`'s firing values and product partials to baseline
-  /// after an incremental solve (provenance writes + targeted replay —
-  /// no transient solve).
-  void revert_path(PathState& state);
+                    PathMeasures& out) const;
 
   const net::Network* network_;
   WhatIfOptions options_;
@@ -141,11 +115,6 @@ class WhatIfEngine {
   std::vector<PathMeasures> baseline_;
   std::vector<net::LinkId> links_;
   std::unordered_map<net::LinkId, std::vector<std::size_t>> paths_of_link_;
-  /// Fresh-fallback scratch, kept apart from the per-path incremental
-  /// workspaces (whose slot values must persist between queries).
-  SolveWorkspace fallback_workspace_;
-  PathTransientResult scratch_transient_;
-  PathMeasures scratch_measures_;
 };
 
 }  // namespace whart::hart

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "whart/common/contracts.hpp"
-#include "whart/linalg/matrix.hpp"
 
 namespace whart::linalg {
 
@@ -119,16 +118,23 @@ double CsrMatrix::row_sum(std::size_t row) const {
   return acc;
 }
 
-CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b,
-                   SparseProductArena& arena) {
+CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b) {
   expects(a.cols() == b.rows(), "inner dimensions agree");
   const std::size_t rows = a.rows();
   const std::size_t cols = b.cols();
   constexpr std::size_t kNoRow = std::numeric_limits<std::size_t>::max();
 
+  // Scratch of the row-by-row passes and the output arrays.
+  struct {
+    std::vector<double> accumulator;
+    std::vector<std::size_t> marker;
+    std::vector<std::size_t> scratch_cols;
+    std::vector<std::size_t> row_start;
+    std::vector<std::size_t> col_index;
+    std::vector<double> values;
+  } arena;
   arena.accumulator.assign(cols, 0.0);
   arena.marker.assign(cols, kNoRow);
-  arena.scratch_cols.clear();
   arena.row_start.assign(rows + 1, 0);
 
   // Symbolic pass: nnz of each output row, then prefix-sum the counts
@@ -185,36 +191,6 @@ CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b,
   return CsrMatrix::from_parts(rows, cols, std::move(arena.row_start),
                                std::move(arena.col_index),
                                std::move(arena.values));
-}
-
-CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b) {
-  SparseProductArena arena;
-  return multiply(a, b, arena);
-}
-
-Matrix left_multiply_batch(const Matrix& x, const CsrMatrix& a,
-                           std::size_t block_rows) {
-  Matrix y(x.rows(), a.cols());
-  left_multiply_batch_into(x, a, y, block_rows);
-  return y;
-}
-
-void left_multiply_batch_into(const Matrix& x, const CsrMatrix& a, Matrix& y,
-                              std::size_t block_rows) {
-  expects(x.cols() == a.rows(), "dimensions agree");
-  expects(block_rows >= 1, "at least one row per block");
-  expects(y.rows() == x.rows() && y.cols() == a.cols(),
-          "output shape matches the product");
-  for (std::size_t r = 0; r < y.rows(); ++r)
-    for (std::size_t c = 0; c < y.cols(); ++c) y(r, c) = 0.0;
-  for (std::size_t begin = 0; begin < x.rows(); begin += block_rows) {
-    const std::size_t end = std::min(begin + block_rows, x.rows());
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-      a.for_each_in_row(r, [&](std::size_t c, double v) {
-        for (std::size_t i = begin; i < end; ++i) y(i, c) += x(i, r) * v;
-      });
-    }
-  }
 }
 
 }  // namespace whart::linalg

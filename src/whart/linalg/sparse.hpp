@@ -4,14 +4,11 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "whart/linalg/vector.hpp"
 
 namespace whart::linalg {
-
-class Matrix;  // dense counterpart (matrix.hpp); used by the batched kernels
 
 /// One (row, col, value) entry used to assemble a sparse matrix.
 struct Triplet {
@@ -68,15 +65,6 @@ class CsrMatrix {
       visit(col_index_[k], values_[k]);
   }
 
-  /// The stored values in CSR order.  The mutable overload is the
-  /// numeric-refill hook of the symbolic/numeric split: a skeleton that
-  /// captured this matrix's sparsity pattern may overwrite values in
-  /// place (same pattern, new probabilities) without reassembly.
-  [[nodiscard]] std::span<double> values() noexcept { return values_; }
-  [[nodiscard]] std::span<const double> values() const noexcept {
-    return values_;
-  }
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -85,51 +73,14 @@ class CsrMatrix {
   std::vector<double> values_;
 };
 
-/// Reusable workspace for the sparse-sparse product.  One arena can be
-/// shared across any number of multiplies (e.g. the Fup+Fdown-1 products
-/// of a superframe cycle collapse) so the dense accumulator, the column
-/// marker and the output arrays are allocated once and recycled.
-struct SparseProductArena {
-  /// Dense per-column accumulator of the current output row.
-  std::vector<double> accumulator;
-  /// marker[c] == current row tag when column c is live in this row.
-  std::vector<std::size_t> marker;
-  /// Unsorted live columns of the current output row.
-  std::vector<std::size_t> scratch_cols;
-  /// Output CSR under construction (moved into the result).
-  std::vector<std::size_t> row_start;
-  std::vector<std::size_t> col_index;
-  std::vector<double> values;
-};
-
 /// Sparse-sparse product A * B (Gustavson's row-by-row algorithm):
 /// a symbolic pass counts the nonzeros of every output row, a prefix sum
 /// over those counts lays out `row_start`, and the numeric pass scatters
-/// each row into the arena's dense accumulator before gathering it in
+/// each row into a dense accumulator before gathering it in
 /// column order.  Numerically-zero fill-in is kept (the structure is the
 /// product structure, not a drop-tolerance one) so row-stochastic inputs
 /// yield row-stochastic outputs entry-for-entry.  Empty rows of A stay
 /// empty rows of the product.
-CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b,
-                   SparseProductArena& arena);
-
-/// Convenience overload with a throwaway arena.
 CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b);
-
-/// Batched distribution step Y = X * A for a dense row-major batch of
-/// row distributions X (one initial state per row).  The CSR matrix is
-/// traversed once per block of `block_rows` batch rows, so its
-/// row_start/col_index/value streams are amortized over the whole block
-/// while the active slices of X and Y stay cache-resident — the
-/// cache-blocked kernel behind SuperframeKernel's batched solves.
-Matrix left_multiply_batch(const Matrix& x, const CsrMatrix& a,
-                           std::size_t block_rows = 32);
-
-/// Allocation-free variant: writes X * A into a caller-owned `y` (which
-/// must already have shape x.rows() x a.cols(); it is zeroed first).
-/// Identical arithmetic to left_multiply_batch, so results are bitwise
-/// equal — this is the ping-pong kernel of the refill solve path.
-void left_multiply_batch_into(const Matrix& x, const CsrMatrix& a, Matrix& y,
-                              std::size_t block_rows = 32);
 
 }  // namespace whart::linalg

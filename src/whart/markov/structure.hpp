@@ -3,104 +3,15 @@
 // irreducibility and periodicity.  These are the preconditions of the
 // steady-state solvers — steady_state_direct assumes a unique stationary
 // distribution, power iteration assumes convergence — made checkable.
-//
-// This header also hosts the *symbolic* side of the symbolic/numeric
-// split (DESIGN.md §12): CsrPattern captures a sparse matrix's shape
-// without its values, and ChainProductSkeleton captures the sparsity of
-// every left-to-right partial product of a matrix chain so the cycle
-// product of a SuperframeKernel can be refilled numerically — same
-// pattern, new probabilities — without re-running the symbolic pass or
-// allocating.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "whart/linalg/sparse.hpp"
 #include "whart/markov/dtmc.hpp"
 
 namespace whart::markov {
-
-/// Sparsity pattern of a CSR matrix: everything but the values.
-struct CsrPattern {
-  std::size_t rows = 0;
-  std::size_t cols = 0;
-  std::vector<std::size_t> row_start;  // size rows + 1
-  std::vector<std::size_t> col_index;  // sorted within each row
-
-  /// Capture the pattern of an assembled matrix.
-  static CsrPattern of(const linalg::CsrMatrix& matrix);
-
-  [[nodiscard]] std::size_t nonzeros() const noexcept {
-    return col_index.size();
-  }
-
-  friend bool operator==(const CsrPattern&, const CsrPattern&) = default;
-};
-
-/// Reusable scratch of ChainProductSkeleton::refill.  All buffers grow
-/// to their high-water mark on the first refill and are only rewritten
-/// afterwards, so a warm refill performs no allocation.
-struct ChainRefillArena {
-  /// Dense per-column accumulator of the current output row.
-  std::vector<double> accumulator;
-  /// marker[c] == current row tag when column c is live in this row.
-  std::vector<std::size_t> marker;
-  /// Ping-pong value buffers of the intermediate partial products.
-  std::vector<double> partial_a;
-  std::vector<double> partial_b;
-};
-
-/// Symbolic skeleton of the chain product M_0 * M_1 * ... * M_{F-1}:
-/// the sparsity pattern of every left-to-right partial product, computed
-/// once.  `refill` then replays Gustavson's numeric pass against fresh
-/// factor values, writing the final product's values in CSR order —
-/// bitwise equal to rebuilding the chain through linalg::multiply,
-/// because both visit the same nonzeros in the same order.
-class ChainProductSkeleton {
- public:
-  /// Symbolic chain collapse over the factor patterns (at least one;
-  /// inner dimensions must agree).
-  explicit ChainProductSkeleton(const std::vector<CsrPattern>& factors);
-
-  /// Pattern of the full product M_0 ... M_{F-1}.
-  [[nodiscard]] const CsrPattern& pattern() const noexcept {
-    return partials_.back();
-  }
-
-  /// Number of chain factors.
-  [[nodiscard]] std::size_t factor_count() const noexcept {
-    return partials_.size();
-  }
-
-  /// Patterns of every left-to-right partial product (partials()[k] is
-  /// the pattern of M_0 * ... * M_k) — the replay schedule that
-  /// markov::BatchRefill walks lane-parallel.
-  [[nodiscard]] const std::vector<CsrPattern>& partials() const noexcept {
-    return partials_;
-  }
-
-  /// Widest column count across the partials (accumulator sizing).
-  [[nodiscard]] std::size_t max_cols() const noexcept { return max_cols_; }
-
-  /// Largest intermediate-partial nonzero count (ping-pong sizing).
-  [[nodiscard]] std::size_t max_partial_nonzeros() const noexcept {
-    return max_partial_nnz_;
-  }
-
-  /// Numeric pass: recompute the product's values from `factors` (which
-  /// must match the ctor patterns entry-for-entry) into `values_out`
-  /// (size pattern().nonzeros()).  Allocation-free once `arena` is warm.
-  void refill(const std::vector<linalg::CsrMatrix>& factors,
-              ChainRefillArena& arena, std::span<double> values_out) const;
-
- private:
-  /// partials_[k]: pattern of M_0 * ... * M_k.
-  std::vector<CsrPattern> partials_;
-  std::size_t max_cols_ = 0;         // accumulator/marker size
-  std::size_t max_partial_nnz_ = 0;  // ping-pong buffer size
-};
 
 /// The communicating classes of the chain.
 struct ClassDecomposition {

@@ -42,22 +42,6 @@ linalg::Vector distribution_after_inhomogeneous(
   return initial;
 }
 
-linalg::Vector distribution_after_periodic(const SuperframeKernel& kernel,
-                                           const linalg::Vector& initial,
-                                           std::uint64_t steps) {
-  WHART_COUNT("markov.transient.periodic_solves");
-  WHART_COUNT_N("markov.transient.steps", steps);
-  return kernel.distribution_after(initial, steps);
-}
-
-linalg::Matrix distributions_after_periodic(const SuperframeKernel& kernel,
-                                            const linalg::Matrix& initials,
-                                            std::uint64_t steps) {
-  WHART_COUNT("markov.transient.periodic_batch_solves");
-  WHART_COUNT_N("markov.transient.steps", steps * initials.rows());
-  return kernel.distributions_after(initials, steps);
-}
-
 double transient_probability(const Dtmc& chain, const linalg::Vector& initial,
                              StateIndex state, std::uint64_t steps) {
   expects(state < chain.num_states(), "state in range");

@@ -11,7 +11,6 @@
 #include "whart/linalg/matrix.hpp"
 #include "whart/linalg/vector.hpp"
 #include "whart/markov/dtmc.hpp"
-#include "whart/markov/superframe_kernel.hpp"
 
 namespace whart::markov {
 
@@ -33,23 +32,6 @@ linalg::Vector distribution_after_inhomogeneous(
     const std::function<const linalg::CsrMatrix&(std::uint64_t step)>&
         matrix_for_step,
     linalg::Vector initial, std::uint64_t steps);
-
-/// Time-inhomogeneous transient analysis for a *periodic* step sequence,
-/// answered through the superframe-product collapse: floor(steps /
-/// period) applications of the precomputed cycle matrix plus at most
-/// period - 1 per-slot tail steps.  Equivalent (to rounding) to
-/// distribution_after_inhomogeneous with matrix_for_step(t) =
-/// kernel.slot_matrix((t - 1) % kernel.period()).
-linalg::Vector distribution_after_periodic(const SuperframeKernel& kernel,
-                                           const linalg::Vector& initial,
-                                           std::uint64_t steps);
-
-/// Batched periodic transient analysis: every row of `initials` advances
-/// `steps` slots through the kernel in one cache-blocked pass.  Row i
-/// equals distribution_after_periodic(kernel, row i, steps) exactly.
-linalg::Matrix distributions_after_periodic(const SuperframeKernel& kernel,
-                                            const linalg::Matrix& initials,
-                                            std::uint64_t steps);
 
 /// Probability of being in `state` after `steps` steps from `initial`.
 double transient_probability(const Dtmc& chain, const linalg::Vector& initial,

@@ -133,20 +133,6 @@ void write_metrics_json(std::ostream& out,
                        static_cast<double>(tasks));
     first = false;
   }
-  // Skeleton reuse: refills per symbolic build.  A healthy reuse-heavy
-  // run has a ratio near 1 (many numeric refills amortizing few
-  // symbolic builds); a ratio near builds/(builds+refills) = 0.5 means
-  // every solve rebuilt its skeleton.
-  const std::uint64_t skeleton_builds = counter("hart.skeleton.builds");
-  const std::uint64_t skeleton_refills = counter("hart.skeleton.refills");
-  if (skeleton_builds + skeleton_refills > 0) {
-    out << (first ? "\n" : ",\n")
-        << "    \"skeleton_reuse_ratio\": "
-        << json_number(static_cast<double>(skeleton_refills) /
-                       static_cast<double>(skeleton_builds +
-                                           skeleton_refills));
-    first = false;
-  }
   out << (first ? "" : "\n  ") << "}";
 
   if (!spans.empty()) {

@@ -147,33 +147,5 @@ TEST(SweepValidation, EmptyInputsThrow) {
                precondition_error);
 }
 
-TEST(SweepSkeletonStore, EvictsLeastRecentlyUsedBeyondCapacity) {
-  // The process-wide skeleton store is LRU-bounded at 64 shapes; sweeping
-  // more distinct shapes than that in one session must evict (and count)
-  // rather than grow without limit.  The shapes use a superframe no other
-  // test sweeps, so they are all fresh insertions regardless of what ran
-  // before in this binary.
-  common::obs::set_metrics_enabled(true);
-  const auto evictions = [] {
-    const auto counters =
-        common::obs::Registry::instance().snapshot().counters;
-    const auto it = counters.find("hart.skeleton.store_evictions");
-    return it == counters.end() ? std::uint64_t{0} : it->second;
-  };
-  const std::uint64_t before = evictions();
-  constexpr std::uint32_t kDistinctShapes = 70;
-  for (std::uint32_t i = 0; i < kDistinctShapes; ++i) {
-    PathModelConfig config;
-    config.hop_slots = {i + 1};
-    config.superframe = net::SuperframeConfig::symmetric(kDistinctShapes + 7);
-    config.reporting_interval = 3;
-    const SweepSeries series =
-        sweep_availability(config, linspace(0.7, 0.9, 2), 1);
-    ASSERT_EQ(series.points.size(), 2u);
-  }
-  // 70 fresh shapes through a 64-entry store: at least 6 evictions.
-  EXPECT_GE(evictions(), before + 6);
-}
-
 }  // namespace
 }  // namespace whart::hart

@@ -148,9 +148,9 @@ TEST(WhatIfEngine, PerSlotKernelFallbackAgreesWithIncremental) {
 }
 
 TEST(WhatIfEngine, DegenerateBaselineLinkFallsBackToFreshSolves) {
-  // A perfect link makes the firing probability degenerate at the
-  // baseline, so seeding declines and the engine must route that path's
-  // queries through the fresh fallback — with correct results.
+  // A perfect link makes the firing probability degenerate (ps = 1) at
+  // the baseline; every query re-solves the affected paths fresh, and
+  // the degenerate point must come out as exactly as any other.
   net::TypicalNetwork t = net::make_typical_network();
   const net::LinkId perfect = net::LinkId{0};
   t.network.set_link_model(perfect, link::LinkModel(0.0, 0.9));

@@ -120,22 +120,6 @@ TEST(Csr, MultiplyPreservesEmptyRows) {
   EXPECT_EQ(multiply(empty, b).nonzeros(), 0u);
 }
 
-TEST(Csr, ArenaIsReusableAcrossProductsOfDifferentShape) {
-  SparseProductArena arena;
-  const CsrMatrix a(2, 4, {{0, 3, 1.0}, {1, 0, 2.0}});
-  const CsrMatrix b(4, 2, {{3, 1, 5.0}, {0, 0, 6.0}});
-  const CsrMatrix first = multiply(a, b, arena);
-  EXPECT_DOUBLE_EQ(first.at(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(first.at(1, 0), 12.0);
-  // Same arena, larger shapes — the workspace must grow transparently.
-  const CsrMatrix c = CsrMatrix::identity(6);
-  const CsrMatrix d(6, 6, {{5, 0, 9.0}, {0, 5, 8.0}});
-  const CsrMatrix second = multiply(c, d, arena);
-  EXPECT_DOUBLE_EQ(second.at(5, 0), 9.0);
-  EXPECT_DOUBLE_EQ(second.at(0, 5), 8.0);
-  EXPECT_EQ(second.nonzeros(), 2u);
-}
-
 TEST(Csr, FromPartsRoundTripsEmptyRows) {
   // Hand-built CSR with rows 0 and 2 empty.
   CsrMatrix m = CsrMatrix::from_parts(3, 2, {0, 0, 2, 2}, {0, 1}, {1.5, 2.5});
@@ -166,27 +150,6 @@ TEST(Csr, FromPartsValidatesShape) {
   EXPECT_THROW(
       (void)CsrMatrix::from_parts(1, 3, {0, 2}, {1, 1}, {1.0, 2.0}),
       precondition_error);
-}
-
-TEST(Csr, LeftMultiplyBatchMatchesRowWiseLeftMultiply) {
-  const CsrMatrix a(3, 3,
-                    {{0, 0, 0.5}, {0, 1, 0.5}, {1, 2, 1.0}, {2, 2, 1.0}});
-  // 70 rows exercises several 32-row blocks plus a partial tail block.
-  Matrix x(70, 3);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    x(r, r % 3) = 0.25 + 0.5 * static_cast<double>(r) / 70.0;
-    x(r, (r + 1) % 3) = 1.0 - x(r, r % 3);
-  }
-  const Matrix y = left_multiply_batch(x, a);
-  ASSERT_EQ(y.rows(), x.rows());
-  ASSERT_EQ(y.cols(), 3u);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    Vector row(3);
-    for (std::size_t c = 0; c < 3; ++c) row[c] = x(r, c);
-    const Vector expect = a.left_multiply(row);
-    for (std::size_t c = 0; c < 3; ++c)
-      EXPECT_EQ(y(r, c), expect[c]) << "row " << r << " col " << c;
-  }
 }
 
 }  // namespace

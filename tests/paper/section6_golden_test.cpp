@@ -53,7 +53,7 @@ void expect_golden_with_kernel(const net::Schedule& schedule,
         << "path " << p + 1;
   }
   // E[Gamma] (Eq. 13) and the slot utilization (Eq. 10-11) are pinned
-  // through BOTH transient kernels: the superframe-product collapse must
+  // through BOTH transient kernels: the dense cycle collapse must
   // land on the same paper numbers as the per-slot recursion.
   EXPECT_NEAR(m.mean_delay_ms, mean_delay_ms, kDelayToleranceMs);
   EXPECT_EQ(m.bottleneck_by_delay, bottleneck);

@@ -59,25 +59,6 @@ def validate_metrics(path: str) -> None:
         if not 0.0 <= ratio <= 1.0:
             fail(f"{path}: cache_hit_ratio {ratio} out of [0, 1]")
 
-    # Skeleton reuse (symbolic/numeric split): the default analysis path
-    # must build at least one skeleton, refill at least as often as it
-    # builds (otherwise reuse never happened), and export a sane derived
-    # ratio.
-    builds = counters.get("hart.skeleton.builds", 0)
-    refills = counters.get("hart.skeleton.refills", 0)
-    if builds <= 0:
-        fail(f"{path}: expected hart.skeleton.builds > 0")
-    if refills < builds:
-        fail(
-            f"{path}: hart.skeleton.refills {refills} < builds {builds} "
-            "(each built skeleton must serve at least one refill)"
-        )
-    if "skeleton_reuse_ratio" not in data["derived"]:
-        fail(f"{path}: missing derived skeleton_reuse_ratio")
-    reuse_ratio = data["derived"]["skeleton_reuse_ratio"]
-    if not 0.0 <= reuse_ratio <= 1.0:
-        fail(f"{path}: skeleton_reuse_ratio {reuse_ratio} out of [0, 1]")
-
     for name, hist in data["histograms"].items():
         for key in ("count", "sum", "min", "max", "buckets", "p50", "p90",
                     "p99"):
@@ -106,10 +87,17 @@ def validate_metrics(path: str) -> None:
                 )
 
     # Stage-level latency attribution: at least one named pipeline stage
-    # must have reported (which stages fire depends on the kernel).
+    # must have reported (which stages fire depends on the kernel), and
+    # every collapsed solve times its cycle-matrix build and its
+    # delivered-attempt fold.
     stages = [n for n in data["histograms"] if n.startswith("hart.stage.")]
     if not stages:
         fail(f"{path}: no hart.stage.* latency histograms recorded")
+    if counters.get("hart.path_solve.superframe", 0) > 0:
+        for stage in ("hart.stage.product_build.ns",
+                      "hart.stage.tail_solve.ns"):
+            if data["histograms"].get(stage, {}).get("count", 0) <= 0:
+                fail(f"{path}: collapsed solves ran but {stage} is empty")
 
     print(
         f"validate_obs_json: {path}: OK "
