@@ -7,8 +7,8 @@
 // arm BM_PathSolve/3/4/0 is the calibration: the per-slot walk is the
 // reference solver, not the code under test.
 //
-// All network solves are cold-cache (no PathAnalysisCache, one thread):
-// the point is the raw solver cost, not memoization.
+// All network solves run on one thread: the point is the raw solver
+// cost.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -61,7 +61,6 @@ void BM_TypicalNetworkSolve(benchmark::State& state) {
   const net::TypicalNetwork t = net::make_typical_network();
   hart::AnalysisOptions options;
   options.threads = 1;
-  options.use_cache = false;
   options.kernel = state.range(1) != 0
                        ? hart::TransientKernel::kSuperframeProduct
                        : hart::TransientKernel::kPerSlot;
@@ -78,7 +77,7 @@ BENCHMARK(BM_TypicalNetworkSolve)
     ->Args({64, 0})
     ->Args({64, 1});
 
-// 200-device generated plant, cold cache: Args are (Is, kernel).
+// 200-device generated plant: Args are (Is, kernel).
 void BM_GeneratedPlantSolve(benchmark::State& state) {
   net::PlantProfile profile;
   profile.device_count = 200;
@@ -86,7 +85,6 @@ void BM_GeneratedPlantSolve(benchmark::State& state) {
   const net::GeneratedPlant plant = net::generate_plant(profile);
   hart::AnalysisOptions options;
   options.threads = 1;
-  options.use_cache = false;
   options.kernel = state.range(1) != 0
                        ? hart::TransientKernel::kSuperframeProduct
                        : hart::TransientKernel::kPerSlot;

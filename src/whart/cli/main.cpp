@@ -337,8 +337,7 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
 
   const whart::hart::NetworkDiagnostics& diag = measures.diagnostics;
   std::cout << "solver: " << diag.dtmc_solves << " DTMC solves ("
-            << diag.states_solved << " states), " << diag.cache_hits
-            << " cache hits, max mass residual "
+            << diag.states_solved << " states), max mass residual "
             << diag.max_mass_residual << "\n";
 
   std::cout << "\nOverall delay distribution:\n";

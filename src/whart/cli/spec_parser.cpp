@@ -1,6 +1,7 @@
 #include "whart/cli/spec_parser.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
 #include <sstream>
 
@@ -28,11 +29,17 @@ double parse_double(const std::string& token, std::size_t line) {
   }
 }
 
+/// Full-match decimal integer in [0, 2^32 - 1]: no sign, fraction,
+/// exponent or trailing characters.
 std::uint32_t parse_u32(const std::string& token, std::size_t line) {
-  const double value = parse_double(token, line);
-  if (value < 0 || value != static_cast<std::uint32_t>(value))
+  std::uint32_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error == std::errc::result_out_of_range)
+    fail(line, "integer out of range [0, 4294967295]: '" + token + "'");
+  if (error != std::errc{} || stop != end)
     fail(line, "expected a non-negative integer, got '" + token + "'");
-  return static_cast<std::uint32_t>(value);
+  return value;
 }
 
 net::NodeId node_or_fail(const net::Network& network, const std::string& name,

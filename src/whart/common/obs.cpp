@@ -234,8 +234,6 @@ const char* event_kind_name(EventKind kind) noexcept {
     case EventKind::kTaskSubmit: return "task_submit";
     case EventKind::kTaskStart: return "task_start";
     case EventKind::kSolveDone: return "solve_done";
-    case EventKind::kCacheHit: return "cache_hit";
-    case EventKind::kCacheMiss: return "cache_miss";
     case EventKind::kStage: return "stage";
     case EventKind::kContractFailure: return "contract_failure";
     case EventKind::kSamplerTick: return "sampler_tick";

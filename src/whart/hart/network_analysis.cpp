@@ -23,10 +23,6 @@ NetworkMeasures analyze_network(const net::Network& network,
   expects(!paths.empty(), "at least one path");
   WHART_COUNT("hart.network.analyses");
   WHART_GAUGE_SET("hart.network.paths", static_cast<double>(paths.size()));
-  PathAnalysisCache local_cache;
-  PathAnalysisCache* cache =
-      options.cache != nullptr ? options.cache
-                               : (options.use_cache ? &local_cache : nullptr);
 
   std::vector<PathModelConfig> configs(paths.size());
   for (std::size_t p = 0; p < paths.size(); ++p)
@@ -46,8 +42,7 @@ NetworkMeasures analyze_network(const net::Network& network,
           availability.push_back(model.steady_state_availability());
         if (options.channel.has_value()) {
           // Channel-enlarged solve: each hop runs the overlay rescaled to
-          // its own availability; the cache keys the i.i.d. chain and
-          // does not apply.
+          // its own availability.
           std::vector<link::ChannelModel> channels;
           channels.reserve(availability.size());
           for (double a : availability)
@@ -55,8 +50,6 @@ NetworkMeasures analyze_network(const net::Network& network,
           const ChannelLinks links(std::move(channels));
           per_path[p] = measures_from_transient(
               config, analyze_path(config, links, path_options));
-        } else if (cache != nullptr) {
-          per_path[p] = cache->measures(config, availability, options.kernel);
         } else {
           const SteadyStateLinks links(std::move(availability));
           per_path[p] = measures_from_transient(
@@ -74,8 +67,8 @@ NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path) {
 
   const double path_count = static_cast<double>(result.per_path.size());
   // Mass is merged per 10 ms slot index, not per raw double delay: equal
-  // delays reached through different arithmetic (e.g. from paths solved
-  // via the canonical cache vs directly) must land in one bin.
+  // delays reached through different arithmetic (different gateway slots
+  // plus whole cycles) must land in one bin.
   std::map<std::int64_t, double> delay_mass;
   for (std::size_t p = 0; p < result.per_path.size(); ++p) {
     const PathMeasures& m = result.per_path[p];
@@ -94,13 +87,9 @@ NetworkMeasures aggregate_measures(std::vector<PathMeasures> per_path) {
       result.bottleneck_by_reachability = p;
     if (m.diagnostics.has_value()) {
       const SolverDiagnostics& d = *m.diagnostics;
-      if (d.from_cache) {
-        ++result.diagnostics.cache_hits;
-      } else {
-        ++result.diagnostics.dtmc_solves;
-        result.diagnostics.states_solved += d.dtmc_states;
-        result.diagnostics.solve_ns_total += d.solve_ns;
-      }
+      ++result.diagnostics.dtmc_solves;
+      result.diagnostics.states_solved += d.dtmc_states;
+      result.diagnostics.solve_ns_total += d.solve_ns;
       result.diagnostics.max_mass_residual =
           std::max(result.diagnostics.max_mass_residual, d.mass_residual);
     }

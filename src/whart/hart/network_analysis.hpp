@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "whart/hart/path_analysis.hpp"
-#include "whart/hart/path_cache.hpp"
 #include "whart/link/channel_model.hpp"
 #include "whart/net/path.hpp"
 #include "whart/net/schedule.hpp"
@@ -17,23 +16,12 @@
 
 namespace whart::hart {
 
-/// Execution knobs of analyze_network.  Neither threading nor caching
-/// changes the result: per-path measures land by index and the cache's
-/// canonical solves are bit-identical to direct ones.
+/// Execution knobs of analyze_network.  Threading does not change the
+/// result: per-path measures land by index.
 struct AnalysisOptions {
   /// Worker threads for the per-path fan-out; 0 consults WHART_THREADS
   /// and falls back to the hardware concurrency, 1 runs serially.
   unsigned threads = 0;
-
-  /// Share solves between structurally identical paths (on by default;
-  /// purely a speedup).
-  bool use_cache = true;
-
-  /// Optional caller-owned cache reused across calls (e.g. across the
-  /// repeated analyses of a sweep or benchmark).  When null and
-  /// use_cache is true, a fresh per-call cache still deduplicates within
-  /// the call.
-  PathAnalysisCache* cache = nullptr;
 
   /// Transient solver for the per-path solves.  Steady-state links (and
   /// the stationary-start channel overlay) satisfy the collapse's
@@ -45,10 +33,8 @@ struct AnalysisOptions {
   /// this channel rescaled so its stationary marginal success equals the
   /// hop's steady-state availability (ChannelModel::with_marginal_success)
   /// and the per-path solves go through the channel-enlarged DTMC
-  /// (DESIGN.md §12).  Channel paths always solve fresh: the cache keys
-  /// the i.i.d. chain, not the enlarged one, so it is not consulted.  A
-  /// one-state (i.i.d.) channel reproduces the plain analysis to
-  /// rounding.
+  /// (DESIGN.md §12).  A one-state (i.i.d.) channel reproduces the
+  /// plain analysis to rounding.
   std::optional<link::ChannelModel> channel;
 };
 
@@ -65,16 +51,17 @@ struct DelayProbability {
 /// DTMC work went.  Paths analyzed without diagnostics (analytic
 /// derivations) contribute nothing.
 struct NetworkDiagnostics {
-  /// Paths whose measures required a fresh DTMC solve.
+  /// Paths solved (every path with diagnostics is solved once).
   std::uint64_t dtmc_solves = 0;
 
-  /// Paths served from the path-analysis cache.
+  /// Always 0: analyze_network solves every path, nothing is served
+  /// from a cache.  Kept only because the end-to-end benchmark reads it.
   std::uint64_t cache_hits = 0;
 
-  /// Total chain states across the fresh solves.
+  /// Total chain states across the solves.
   std::uint64_t states_solved = 0;
 
-  /// Wall-clock summed over fresh solves, ns (0 when metrics are off).
+  /// Wall-clock summed over the solves, ns (0 when metrics are off).
   std::uint64_t solve_ns_total = 0;
 
   /// Worst probability-mass residual seen across all solves.

@@ -449,9 +449,6 @@ PathTransientResult analyze_collapsed(const PathModelConfig& config,
   PathTransientResult result;
   result.cycle_probabilities.assign(interval, 0.0);
   result.expected_transmissions_per_hop.assign(hops, 0.0);
-  result.trajectory_stride = frame;
-  result.goal_trajectory.reserve(interval + 1);
-  result.goal_trajectory.push_back(result.cycle_probabilities);
 
   // Forward over the interval: the message starts at hop 0 with its
   // channel stationary.
@@ -499,7 +496,6 @@ PathTransientResult analyze_collapsed(const PathModelConfig& config,
     }
     result.cycle_probabilities[cycle] = p[goal] - goal_seen;
     goal_seen = p[goal];
-    result.goal_trajectory.push_back(result.cycle_probabilities);
   }
   // A TTL on a cycle boundary: the expired mass never passed a per-slot
   // discard; sweep it now.

@@ -33,6 +33,11 @@ void PathModelConfig::validate() const {
   expects(!hop_slots.empty(), "path has at least one hop");
   expects(superframe.uplink_slots > 0, "Fup > 0");
   expects(reporting_interval >= 1, "Is >= 1");
+  // horizon() multiplies in 32 bits; reject the product before it wraps.
+  expects(static_cast<std::uint64_t>(reporting_interval) *
+                  superframe.uplink_slots <=
+              std::numeric_limits<std::uint32_t>::max(),
+          "Is * Fup <= 2^32 - 1");
   expects(effective_ttl() >= 1, "ttl >= 1");
   for (net::SlotNumber s : hop_slots)
     expects(s >= 1 && s <= superframe.uplink_slots,
@@ -135,7 +140,6 @@ PathTransientResult PathModel::analyze_per_slot(
   result.discard_probability = 0.0;
   result.expected_transmissions = 0.0;
   result.expected_transmissions_delivered = 0.0;
-  result.trajectory_stride = 1;
   result.diagnostics = SolverDiagnostics{};
   result.goal_trajectory.resize(horizon + 1);
   std::size_t trajectory_entry = 0;

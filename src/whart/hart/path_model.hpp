@@ -115,7 +115,8 @@ struct PathModelConfig {
 
   /// Throws precondition_error unless the config describes a solvable
   /// path: at least one hop, slots within the frame, no two
-  /// transmission opportunities sharing a slot, Is >= 1 and TTL >= 1.
+  /// transmission opportunities sharing a slot, Is >= 1, a horizon
+  /// Is * Fup that fits in 32 bits, and TTL >= 1.
   void validate() const;
 
   /// Which hop (if any) fires in global uplink slot s (1-based): its
@@ -132,9 +133,7 @@ struct PathModelConfig {
 /// Numeric provenance of one path solve — the observability block
 /// attached to PathMeasures (and aggregated into NetworkMeasures) so a
 /// run can report where its DTMC work went.  Structural fields are
-/// deterministic; `solve_ns` is wall-clock (0 when metrics are off or
-/// the result came from the cache) and `from_cache` is set by
-/// PathAnalysisCache when an entry is served without solving.
+/// deterministic; `solve_ns` is wall-clock (0 when metrics are off).
 struct SolverDiagnostics {
   /// States of the unrolled chain (transient + Is goals + Discard).
   std::size_t dtmc_states = 0;
@@ -150,9 +149,6 @@ struct SolverDiagnostics {
 
   /// Wall-clock of the forward/backward passes, ns.
   std::uint64_t solve_ns = 0;
-
-  /// True when the measures were reconstructed from a cache hit.
-  bool from_cache = false;
 
   /// Solver that actually produced this result.  kSuperframeProduct only
   /// when the collapse ran; a cycle-stationarity fallback reports
@@ -172,16 +168,12 @@ struct PathTransientResult {
   /// Probability of the Discard state at the end of the interval.
   double discard_probability = 0.0;
 
-  /// goal_trajectory[k][i]: transient probability of goal state i after
-  /// k * trajectory_stride uplink slots — the data behind the paper's
-  /// Fig. 6.  The per-slot kernel records every slot (stride 1, entries
-  /// t = 0..horizon); the collapse records cycle boundaries only (stride
-  /// Fup, entries t = 0, Fup, ..., Is * Fup) — recording every slot
-  /// would forfeit the collapse.
+  /// goal_trajectory[t][i]: transient probability of goal state i after
+  /// t uplink slots, t = 0..horizon — the data behind the paper's
+  /// Fig. 6.  Only the per-slot walks record it; the collapse leaves it
+  /// empty (at a cycle boundary k it would read (g_1..g_k, 0..0), which
+  /// cycle_probabilities already holds, at O(Is^2) memory).
   std::vector<std::vector<double>> goal_trajectory;
-
-  /// Uplink slots between consecutive goal_trajectory entries.
-  std::uint32_t trajectory_stride = 1;
 
   /// Expected number of transmission attempts during the interval (the
   /// exact basis of the utilization measure).
@@ -292,7 +284,8 @@ class PathModel {
 /// i.i.d. hops and per-hop-block powers T_h^r of the channel transition
 /// matrix for channel hops — together with the per-cycle attempt and
 /// delivered-attempt accounting.  Full pre-TTL cycles then advance in
-/// one dense step each; the cycle the TTL cuts walks its firings.
+/// one dense step each; the cycle the TTL cuts walks its firings.  The
+/// result's goal_trajectory stays empty, so memory is O(Is + dim^2).
 /// Honors inject_product_error and inject_channel_state_leak; ignores
 /// `options.kernel`.  Throws precondition_error when `links` is not
 /// cycle-stationary or does not cover every hop.
@@ -309,9 +302,9 @@ class PathModel {
     const PathAnalysisOptions& options = {});
 
 /// Transient analysis of `config` with solver selection, the entry point
-/// of the network analysis, the path cache, the sweeps and the what-if
-/// engine: analyze_collapsed when the kernel is kSuperframeProduct and
-/// `links` is cycle-stationary (no PathModel is built), otherwise
+/// of the network analysis, the sweeps and the what-if engine:
+/// analyze_collapsed when the kernel is kSuperframeProduct and `links` is
+/// cycle-stationary (no PathModel is built), otherwise
 /// PathModel(config).analyze(links, options).
 [[nodiscard]] PathTransientResult analyze_path(
     const PathModelConfig& config, const LinkProbabilityProvider& links,

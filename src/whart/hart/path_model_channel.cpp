@@ -34,16 +34,14 @@ using detail::make_layout;
 using detail::success_probability;
 
 void init_result(PathTransientResult& result, const ChannelLayout& layout,
-                 const PathModelConfig& config, std::uint32_t stride,
-                 std::size_t trajectory_entries) {
+                 const PathModelConfig& config) {
   result.cycle_probabilities.assign(config.reporting_interval, 0.0);
   result.expected_transmissions_per_hop.assign(config.hop_count(), 0.0);
   result.discard_probability = 0.0;
   result.expected_transmissions = 0.0;
   result.expected_transmissions_delivered = 0.0;
-  result.trajectory_stride = stride;
   result.diagnostics = SolverDiagnostics{};
-  result.goal_trajectory.resize(trajectory_entries);
+  result.goal_trajectory.resize(config.horizon() + 1);
   result.diagnostics.dtmc_states = layout.dim;
   result.diagnostics.transient_states = layout.transient;
   result.diagnostics.absorbing_states = 2;
@@ -164,10 +162,9 @@ PathTransientResult PathModel::analyze_channel_per_slot(
   const std::uint32_t frame = config.superframe.uplink_slots;
   const std::uint32_t cycle_slots = config.superframe.cycle_slots();
   const std::uint32_t ttl = config.effective_ttl();
-  const std::uint32_t horizon = config.horizon();
 
   PathTransientResult result;
-  init_result(result, layout, config, 1, horizon + 1);
+  init_result(result, layout, config);
   std::size_t trajectory_entry = 0;
   const auto record_trajectory = [&] {
     result.goal_trajectory[trajectory_entry++].assign(

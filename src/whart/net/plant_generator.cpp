@@ -67,17 +67,7 @@ GeneratedPlant generate_plant(const PlantProfile& profile) {
   const auto draw_model = [&] {
     const double span =
         profile.max_availability - profile.min_availability;
-    double availability;
-    if (profile.availability_levels == 0) {
-      availability = profile.min_availability + rng.uniform() * span;
-    } else if (profile.availability_levels == 1) {
-      availability = profile.min_availability + span / 2.0;
-    } else {
-      const std::uint64_t level = rng.below(profile.availability_levels);
-      availability = profile.min_availability +
-                     span * static_cast<double>(level) /
-                         static_cast<double>(profile.availability_levels - 1);
-    }
+    const double availability = profile.min_availability + rng.uniform() * span;
     return link::LinkModel::from_availability(availability,
                                               profile.recovery_probability);
   };

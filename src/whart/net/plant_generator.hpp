@@ -31,14 +31,6 @@ struct PlantProfile {
   double min_availability = 0.83;
   double max_availability = 0.97;
 
-  /// 0 (default): availabilities are continuous uniform draws.  k > 0:
-  /// each link's availability is drawn uniformly from k evenly spaced
-  /// quality classes spanning [min, max] — real site surveys bin links
-  /// into a few classes, and discrete classes make many paths of the
-  /// plant structurally identical, which hart::PathAnalysisCache then
-  /// solves once and shares.
-  std::uint32_t availability_levels = 0;
-
   double recovery_probability = link::LinkModel::kDefaultRecovery;
 
   SchedulingPolicy policy = SchedulingPolicy::kShortestPathsFirst;

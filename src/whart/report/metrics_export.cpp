@@ -116,14 +116,6 @@ void write_metrics_json(std::ostream& out,
     const auto it = snapshot.counters.find(std::string(name));
     return it != snapshot.counters.end() ? it->second : 0;
   };
-  const std::uint64_t hits = counter("hart.path_cache.hits");
-  const std::uint64_t misses = counter("hart.path_cache.misses");
-  if (hits + misses > 0) {
-    out << "\n    \"cache_hit_ratio\": "
-        << json_number(static_cast<double>(hits) /
-                       static_cast<double>(hits + misses));
-    first = false;
-  }
   const std::uint64_t busy_ns = counter("parallel.busy_ns");
   const std::uint64_t tasks = counter("parallel.tasks");
   if (tasks > 0) {

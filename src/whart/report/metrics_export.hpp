@@ -15,8 +15,8 @@ namespace whart::report {
 
 /// Serialize a metrics snapshot as a JSON object with "counters",
 /// "gauges", "histograms" (each with p50/p90/p99 estimates), "derived"
-/// (figures computable from the counters, e.g. the path-cache hit
-/// ratio) and, when `spans` is non-empty, a "spans" array of flat
+/// (figures computable from the counters, e.g. the parallel engine's
+/// mean task time) and, when `spans` is non-empty, a "spans" array of flat
 /// per-name aggregates including exact quantiles.
 void write_metrics_json(std::ostream& out,
                         const common::obs::MetricsSnapshot& snapshot,

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "whart/hart/link_probability.hpp"
-#include "whart/hart/path_cache.hpp"
 #include "whart/markov/structure.hpp"
 
 namespace whart::verify {
@@ -32,7 +31,6 @@ std::vector<InvariantViolation> InvariantChecker::check(
   const hart::PathTransientResult transient = model.analyze(links);
   const hart::PathMeasures measures = compute_path_measures(model, links);
   check_solution(transient, measures, out);
-  check_cache(config, availabilities, measures, out);
   return out;
 }
 
@@ -123,36 +121,6 @@ void InvariantChecker::check_solution(
         t = transient.goal_trajectory.size();  // one finding is enough
         break;
       }
-}
-
-void InvariantChecker::check_cache(
-    const hart::PathModelConfig& config,
-    const std::vector<double>& availabilities, const hart::PathMeasures& cold,
-    std::vector<InvariantViolation>& out) const {
-  hart::PathAnalysisCache cache;
-  (void)cache.measures(config, availabilities);          // miss: populate
-  const hart::PathMeasures hit = cache.measures(config, availabilities);
-
-  const auto mismatch = [&](const char* field, double a, double b) {
-    // Bitwise contract: a cache hit reconstructs the cold solve exactly,
-    // so plain equality (not a tolerance) is the specification.
-    if (a != b && !(std::isnan(a) && std::isnan(b)))
-      out.push_back({"cache-bitwise",
-                     std::string(field) + ": cold " + format_double(a) +
-                         " != hit " + format_double(b)});
-  };
-  if (hit.cycle_probabilities != cold.cycle_probabilities)
-    out.push_back({"cache-bitwise", "cycle_probabilities differ"});
-  mismatch("reachability", cold.reachability, hit.reachability);
-  mismatch("discard_probability", cold.discard_probability,
-           hit.discard_probability);
-  mismatch("expected_delay_ms", cold.expected_delay_ms, hit.expected_delay_ms);
-  mismatch("expected_transmissions", cold.expected_transmissions,
-           hit.expected_transmissions);
-  mismatch("utilization", cold.utilization, hit.utilization);
-  mismatch("utilization_delivered", cold.utilization_delivered,
-           hit.utilization_delivered);
-  mismatch("delay_jitter_ms", cold.delay_jitter_ms, hit.delay_jitter_ms);
 }
 
 std::vector<InvariantViolation> InvariantChecker::check_network(

@@ -5,8 +5,8 @@
 //       dense implementation of the same math;
 //   (3) the kernel leg — the dense cycle collapse
 //       (PathAnalysisOptions::kernel = kSuperframeProduct, the default
-//       solver of the network analysis, the cache, the sweeps and the
-//       what-if engine), compared against the reference to prove the
+//       solver of the network analysis, the sweeps and the what-if
+//       engine), compared against the reference to prove the
 //       collapse is faithful;
 //   (4) the simulator leg — sim::NetworkSimulator in the kIndependent
 //       regime, whose empirical frequencies converge to the analytic

@@ -1,5 +1,7 @@
 #include "whart/cli/spec_parser.hpp"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace whart::cli {
@@ -122,6 +124,35 @@ TEST(SpecParser, RejectsBadInput) {
   EXPECT_THROW(parse_spec_string("node a\nlink a G weird 1\n"), parse_error);
   EXPECT_THROW(parse_spec_string("schedule sideways\nnode a\n"), parse_error);
   EXPECT_THROW(parse_spec_string("interval 2.5\nnode a\n"), parse_error);
+  // Integer fields are full-match decimal u32: no overflow past 2^32 - 1,
+  // sign, fraction, exponent, hex or trailing characters.
+  for (const char* line :
+       {"interval 4294967296", "superframe 4294967296 1",
+        "superframe 1 4294967296", "interval 99999999999999999999",
+        "interval 7.5", "interval -1", "interval 4x", "interval 4e0",
+        "interval +4", "interval 0x10"}) {
+    SCOPED_TRACE(line);
+    EXPECT_THROW(parse_spec_string(std::string(line) +
+                                   "\nnode a\nlink a G avail .9\n"),
+                 parse_error);
+  }
+}
+
+TEST(SpecParser, IntegerFieldsSpanTheU32Range) {
+  const std::string devices = "\nnode a\nlink a G avail .9\n";
+  try {
+    parse_spec_string("interval 4294967296" + devices);
+    FAIL() << "expected parse_error";
+  } catch (const parse_error& e) {
+    EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos);
+  }
+  // The largest representable value still parses.
+  EXPECT_EQ(parse_spec_string("interval 4294967295" + devices)
+                .reporting_interval,
+            4294967295u);
+  EXPECT_EQ(parse_spec_string("superframe 7 0" + devices)
+                .superframe.downlink_slots,
+            0u);
 }
 
 TEST(SpecParser, PathWithUnknownNodeFails) {

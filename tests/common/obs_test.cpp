@@ -183,12 +183,12 @@ TEST(EventLogTest, RecordsAndDrains) {
   set_events_enabled(true);
   EventLog& log = EventLog::instance();
   log.clear();
-  WHART_EVENT(kCacheHit, "test.obs.events.hit", 7, 9);
-  WHART_EVENT(kCacheMiss, "test.obs.events.miss", 1, 0);
+  WHART_EVENT(kSolveDone, "test.obs.events.solve", 7, 9);
+  WHART_EVENT(kStage, "test.obs.events.stage", 1, 0);
   const std::vector<EventRecord> events = log.events();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, EventKind::kCacheHit);
-  EXPECT_EQ(log.name(events[0].name_id), "test.obs.events.hit");
+  EXPECT_EQ(events[0].kind, EventKind::kSolveDone);
+  EXPECT_EQ(log.name(events[0].name_id), "test.obs.events.solve");
   EXPECT_EQ(events[0].payload0, 7u);
   EXPECT_EQ(events[0].payload1, 9u);
   EXPECT_LE(events[0].ts_ns, events[1].ts_ns);
@@ -196,8 +196,8 @@ TEST(EventLogTest, RecordsAndDrains) {
   std::ostringstream jsonl;
   log.write_jsonl(jsonl);
   const std::string text = jsonl.str();
-  EXPECT_NE(text.find("\"kind\": \"cache_hit\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\": \"test.obs.events.miss\""),
+  EXPECT_NE(text.find("\"kind\": \"solve_done\""), std::string::npos);
+  EXPECT_NE(text.find("\"name\": \"test.obs.events.stage\""),
             std::string::npos);
   log.clear();
   EXPECT_TRUE(log.events().empty());

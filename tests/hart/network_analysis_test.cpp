@@ -128,35 +128,33 @@ TEST(NetworkAnalysis, DiagnosticsAccountForEveryPath) {
   const net::TypicalNetwork t = net::make_typical_network(
       link::LinkModel::from_availability(0.83));
 
-  // Uncached: every path is a fresh solve with per-path diagnostics.
-  AnalysisOptions no_cache;
-  no_cache.use_cache = false;
-  const NetworkMeasures direct =
-      analyze_network(t.network, t.paths, t.eta_a, t.superframe,
-                      net::kTypicalReportingInterval, no_cache);
-  EXPECT_EQ(direct.diagnostics.dtmc_solves, t.paths.size());
-  EXPECT_EQ(direct.diagnostics.cache_hits, 0u);
-  EXPECT_GT(direct.diagnostics.states_solved, 0u);
-  EXPECT_LT(direct.diagnostics.max_mass_residual, 1e-9);
-  for (const PathMeasures& m : direct.per_path) {
-    ASSERT_TRUE(m.diagnostics.has_value());
-    EXPECT_FALSE(m.diagnostics->from_cache);
-    EXPECT_GT(m.diagnostics->dtmc_states, 0u);
-    EXPECT_EQ(m.diagnostics->dtmc_states,
-              m.diagnostics->transient_states +
-                  m.diagnostics->absorbing_states);
-    EXPECT_EQ(m.diagnostics->forward_steps,
-              std::uint64_t{net::kTypicalReportingInterval} *
-                  t.superframe.uplink_slots);
+  // Every path is solved once, under either kernel, even where paths
+  // share a shape (10 paths, 3 shapes): one diagnostics block per path.
+  for (const TransientKernel kernel :
+       {TransientKernel::kSuperframeProduct, TransientKernel::kPerSlot}) {
+    AnalysisOptions options;
+    options.kernel = kernel;
+    const NetworkMeasures measures =
+        analyze_network(t.network, t.paths, t.eta_a, t.superframe,
+                        net::kTypicalReportingInterval, options);
+    EXPECT_EQ(measures.diagnostics.dtmc_solves, t.paths.size());
+    EXPECT_EQ(measures.diagnostics.cache_hits, 0u);
+    EXPECT_LT(measures.diagnostics.max_mass_residual, 1e-9);
+    std::uint64_t states = 0;
+    for (const PathMeasures& m : measures.per_path) {
+      ASSERT_TRUE(m.diagnostics.has_value());
+      EXPECT_EQ(m.diagnostics->kernel, kernel);
+      EXPECT_GT(m.diagnostics->dtmc_states, 0u);
+      EXPECT_EQ(m.diagnostics->dtmc_states,
+                m.diagnostics->transient_states +
+                    m.diagnostics->absorbing_states);
+      EXPECT_EQ(m.diagnostics->forward_steps,
+                std::uint64_t{net::kTypicalReportingInterval} *
+                    t.superframe.uplink_slots);
+      states += m.diagnostics->dtmc_states;
+    }
+    EXPECT_EQ(measures.diagnostics.states_solved, states);
   }
-
-  // Cached: solves + hits still cover every path, and hits are flagged.
-  const NetworkMeasures cached =
-      analyze_network(t.network, t.paths, t.eta_a, t.superframe,
-                      net::kTypicalReportingInterval);
-  EXPECT_EQ(cached.diagnostics.dtmc_solves + cached.diagnostics.cache_hits,
-            t.paths.size());
-  EXPECT_GT(cached.diagnostics.cache_hits, 0u);  // 10 paths, 3 shapes
 }
 
 TEST(NetworkAnalysis, AggregateRejectsEmptyInput) {

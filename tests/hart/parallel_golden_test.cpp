@@ -1,7 +1,8 @@
 // Golden tests of the parallel engine: every fan-out path must produce
 // results identical (==, not approximately) to its serial counterpart,
-// whatever the thread count, and the cached analysis must match the
-// uncached one bit for bit.
+// whatever the thread count, and the network analysis must reproduce
+// each path's direct solve bit for bit.
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,10 +62,9 @@ void expect_identical(const SweepSeries& a, const SweepSeries& b) {
   }
 }
 
-AnalysisOptions serial_uncached() {
+AnalysisOptions serial_options() {
   AnalysisOptions options;
   options.threads = 1;
-  options.use_cache = false;
   return options;
 }
 
@@ -72,54 +72,54 @@ TEST(ParallelGolden, NetworkAnalysisTypical) {
   const net::TypicalNetwork t = net::make_typical_network();
   const NetworkMeasures serial =
       analyze_network(t.network, t.paths, t.eta_a, t.superframe, 4,
-                      serial_uncached());
+                      serial_options());
   for (unsigned threads : {2u, 4u, 8u}) {
     AnalysisOptions options;
     options.threads = threads;
-    options.use_cache = false;
     expect_identical(analyze_network(t.network, t.paths, t.eta_a,
                                      t.superframe, 4, options),
                      serial);
   }
 }
 
+// Pins that every call solves every path afresh, at any thread count.
 TEST(ParallelGolden, NetworkAnalysisGeneratedPlantCachedAndThreaded) {
   net::PlantProfile profile;
   profile.device_count = 60;
   profile.seed = 11;
   const net::GeneratedPlant plant = net::generate_plant(profile);
-  const NetworkMeasures serial =
+  const NetworkMeasures golden =
       analyze_network(plant.network, plant.paths, plant.schedule,
-                      plant.superframe, 4, serial_uncached());
+                      plant.superframe, 4, serial_options());
 
-  for (const bool use_cache : {false, true}) {
-    for (unsigned threads : {1u, 4u}) {
-      AnalysisOptions options;
-      options.threads = threads;
-      options.use_cache = use_cache;
+  // Repeated calls at any thread count reproduce the serial run bit for
+  // bit: no state survives between calls.
+  for (unsigned threads : {1u, 4u, 8u}) {
+    AnalysisOptions options;
+    options.threads = threads;
+    for (int repeat = 0; repeat < 2; ++repeat)
       expect_identical(
           analyze_network(plant.network, plant.paths, plant.schedule,
                           plant.superframe, 4, options),
-          serial);
-    }
+          golden);
   }
 
-  // A shared (persistent) cache must serve a second identical call from
-  // memory and still reproduce the same result.
-  PathAnalysisCache cache;
-  AnalysisOptions options;
-  options.threads = 4;
-  options.cache = &cache;
-  expect_identical(analyze_network(plant.network, plant.paths,
-                                   plant.schedule, plant.superframe, 4,
-                                   options),
-                   serial);
-  const std::uint64_t first_misses = cache.misses();
-  expect_identical(analyze_network(plant.network, plant.paths,
-                                   plant.schedule, plant.superframe, 4,
-                                   options),
-                   serial);
-  EXPECT_EQ(cache.misses(), first_misses);  // all hits second time
+  // Each path's measures are exactly its own direct solve.
+  for (std::size_t p = 0; p < plant.paths.size(); ++p) {
+    const PathModelConfig config =
+        PathModelConfig::from_schedule(plant.schedule, p, plant.superframe, 4);
+    std::vector<double> availability;
+    for (const link::LinkModel& model :
+         plant.paths[p].hop_models(plant.network))
+      availability.push_back(model.steady_state_availability());
+    PathAnalysisOptions path_options;
+    path_options.kernel = TransientKernel::kSuperframeProduct;
+    const PathMeasures direct = measures_from_transient(
+        config, analyze_path(config, SteadyStateLinks(std::move(availability)),
+                             path_options));
+    SCOPED_TRACE("path " + std::to_string(p));
+    expect_identical(golden.per_path[p], direct);
+  }
 }
 
 TEST(ParallelGolden, SweepAvailability) {

@@ -1,6 +1,8 @@
 #include "whart/hart/path_model.hpp"
 
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -40,6 +42,34 @@ TEST(PathModel, InvalidConfigsThrow) {
   EXPECT_THROW(PathModel{config}, precondition_error);
   config = example_config(0);
   EXPECT_THROW(PathModel{config}, precondition_error);
+}
+
+TEST(PathModelConfig, HorizonOverflowIsRejected) {
+  // Is * Fup = 2^32 wraps to 0 and 2^32 + 2 wraps to 2 in 32 bits; both
+  // must fail on the horizon check, not on a wrapped TTL.
+  for (const std::uint32_t is : {1u << 31, (1u << 31) + 1}) {
+    PathModelConfig config;
+    config.hop_slots = {1};
+    config.superframe = net::SuperframeConfig::symmetric(2);
+    config.reporting_interval = is;
+    SCOPED_TRACE(is);
+    try {
+      config.validate();
+      FAIL() << "expected precondition_error";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find("Is * Fup"), std::string::npos)
+          << e.what();
+    }
+    const SteadyStateLinks links(std::vector<double>{0.9});
+    EXPECT_THROW((void)analyze_collapsed(config, links), precondition_error);
+  }
+  // The largest horizon that fits still validates.
+  PathModelConfig config;
+  config.hop_slots = {1};
+  config.superframe = net::SuperframeConfig::symmetric(1);
+  config.reporting_interval = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_NO_THROW(config.validate());
+  EXPECT_EQ(config.horizon(), std::numeric_limits<std::uint32_t>::max());
 }
 
 TEST(PathModel, SingleCycleGoalProbabilityIsProductOfAvailabilities) {

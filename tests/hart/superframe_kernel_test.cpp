@@ -100,21 +100,10 @@ void expect_equivalent(const PathModelConfig& config,
                 per_slot.expected_transmissions_per_hop[h], kTol)
         << "hop " << h;
   EXPECT_LE(collapsed.diagnostics.mass_residual, 1e-12);
-
-  // The collapsed trajectory records cycle boundaries; entry k must
-  // match the per-slot trajectory at t = k * Fup.
-  EXPECT_EQ(per_slot.trajectory_stride, 1u);
-  EXPECT_EQ(collapsed.trajectory_stride, config.superframe.uplink_slots);
-  ASSERT_EQ(collapsed.goal_trajectory.size(),
-            static_cast<std::size_t>(config.reporting_interval) + 1);
-  for (std::size_t k = 0; k < collapsed.goal_trajectory.size(); ++k) {
-    const std::size_t t = k * config.superframe.uplink_slots;
-    ASSERT_LT(t, per_slot.goal_trajectory.size());
-    for (std::size_t i = 0; i < collapsed.goal_trajectory[k].size(); ++i)
-      EXPECT_NEAR(collapsed.goal_trajectory[k][i],
-                  per_slot.goal_trajectory[t][i], kTol)
-          << "boundary " << k << " cycle " << i;
-  }
+  // Only the per-slot walk records the Fig. 6 trajectory.
+  EXPECT_TRUE(collapsed.goal_trajectory.empty());
+  EXPECT_EQ(per_slot.goal_trajectory.size(),
+            static_cast<std::size_t>(config.horizon()) + 1);
 }
 
 TEST(SuperframeKernel, EquivalentAcrossSeededScenarioCorpus) {
@@ -358,8 +347,8 @@ TEST(SuperframeKernel, ProductIsRowStochastic) {
 
 TEST(SuperframeKernel, StepsNotMultipleOfPeriodUseTail) {
   // A TTL two slots into the third cycle: two full cycles advance
-  // through the cycle matrix and the tail walks its firings; the
-  // stride-Fup trajectory and every measure match the per-slot walk.
+  // through the cycle matrix and the tail walks its firings; every
+  // measure matches the per-slot walk.
   PathModelConfig config = small_config();
   config.reporting_interval = 4;
   config.ttl = 2 * config.superframe.uplink_slots + 2;
@@ -367,18 +356,45 @@ TEST(SuperframeKernel, StepsNotMultipleOfPeriodUseTail) {
 }
 
 TEST(SuperframeKernel, ZeroStepsReturnsInitialUnchanged) {
-  // Trajectory entry 0 is the state before any slot: no goal mass, and
-  // with TTL = 1 nothing beyond the first slot ever moves.
+  // The collapse keeps no trajectory, and with TTL = 1 nothing beyond
+  // the first slot ever moves.
   PathModelConfig config = small_config();
   const SteadyStateLinks links(std::vector<double>{0.8, 0.6});
   const PathTransientResult result = analyze_collapsed(config, links);
-  ASSERT_EQ(result.goal_trajectory.size(), config.reporting_interval + 1u);
-  for (double g : result.goal_trajectory.front()) EXPECT_EQ(g, 0.0);
+  EXPECT_TRUE(result.goal_trajectory.empty());
+  ASSERT_EQ(result.cycle_probabilities.size(), config.reporting_interval);
   config.ttl = 1;
   const PathTransientResult cut = analyze_collapsed(config, links);
   for (double g : cut.cycle_probabilities) EXPECT_EQ(g, 0.0);
   EXPECT_NEAR(cut.discard_probability, 1.0, 1e-15);
   EXPECT_NEAR(cut.expected_transmissions, 1.0, 1e-15);  // the slot-1 try
+}
+
+TEST(SuperframeKernel, LongIntervalMatchesNegativeBinomialInLinearMemory) {
+  // One hop that fires once per cycle: delivery in cycle i is the
+  // negative-binomial g_i = p (1 - p)^(i-1).  At Is = 100 000 any
+  // per-cycle copy of the Is-long goal vector would need ~80 GB, so
+  // this also pins the collapse's memory to O(Is).
+  constexpr double kP = 3e-5;  // (1 - p)^Is ~ e^-3: every cycle matters
+  PathModelConfig config;
+  config.hop_slots = {2};
+  config.superframe = net::SuperframeConfig{4, 4};
+  config.reporting_interval = 100000;
+  const PathTransientResult result =
+      analyze_collapsed(config, SteadyStateLinks(std::vector<double>{kP}));
+  EXPECT_TRUE(result.goal_trajectory.empty());
+  ASSERT_EQ(result.cycle_probabilities.size(), config.reporting_interval);
+  double reachability = 0.0;
+  for (std::size_t i = 0; i < result.cycle_probabilities.size(); ++i) {
+    const double expected =
+        kP * std::pow(1.0 - kP, static_cast<double>(i));
+    ASSERT_NEAR(result.cycle_probabilities[i], expected, 1e-12)
+        << "g(" << i + 1 << ")";
+    reachability += result.cycle_probabilities[i];
+  }
+  EXPECT_NEAR(reachability + result.discard_probability, 1.0, 1e-12);
+  EXPECT_NEAR(result.discard_probability,
+              std::pow(1.0 - kP, config.reporting_interval), 1e-12);
 }
 
 TEST(SuperframeKernel, BatchedSolveMatchesSequentialRows) {

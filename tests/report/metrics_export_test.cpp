@@ -63,8 +63,7 @@ bool json_well_formed(const std::string& text) {
 
 MetricsSnapshot sample_snapshot() {
   MetricsSnapshot snapshot;
-  snapshot.counters["hart.path_cache.hits"] = 30;
-  snapshot.counters["hart.path_cache.misses"] = 10;
+  snapshot.counters["hart.path_solve.count"] = 30;
   snapshot.counters["parallel.tasks"] = 4;
   snapshot.counters["parallel.busy_ns"] = 4000;
   snapshot.gauges["parallel.pool.size"] = 8.0;
@@ -87,16 +86,15 @@ TEST(MetricsExport, WritesWellFormedJsonWithAllSections) {
   EXPECT_NE(text.find("\"gauges\""), std::string::npos);
   EXPECT_NE(text.find("\"histograms\""), std::string::npos);
   EXPECT_NE(text.find("\"derived\""), std::string::npos);
-  EXPECT_NE(text.find("\"hart.path_cache.hits\": 30"), std::string::npos);
+  EXPECT_NE(text.find("\"hart.path_solve.count\": 30"), std::string::npos);
   EXPECT_NE(text.find("\"hart.path_solve.ns\""), std::string::npos);
 }
 
-TEST(MetricsExport, DerivesCacheHitRatioAndMeanTaskTime) {
+TEST(MetricsExport, DerivesMeanTaskTime) {
   std::ostringstream out;
   write_metrics_json(out, sample_snapshot());
   const std::string text = out.str();
-  // 30 hits / 40 lookups and 4000 ns / 4 tasks.
-  EXPECT_NE(text.find("\"cache_hit_ratio\": 0.75"), std::string::npos);
+  // 4000 ns / 4 tasks.
   EXPECT_NE(text.find("\"parallel_mean_task_ns\": 1000"), std::string::npos);
 }
 
@@ -218,9 +216,9 @@ TEST(PrometheusText, RendersCountersGaugesAndSummaries) {
   std::ostringstream out;
   write_prometheus_text(out, sample_snapshot());
   const std::string text = out.str();
-  EXPECT_NE(text.find("# TYPE whart_hart_path_cache_hits_total counter"),
+  EXPECT_NE(text.find("# TYPE whart_hart_path_solve_count_total counter"),
             std::string::npos);
-  EXPECT_NE(text.find("whart_hart_path_cache_hits_total 30"),
+  EXPECT_NE(text.find("whart_hart_path_solve_count_total 30"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE whart_parallel_pool_size gauge"),
             std::string::npos);
