@@ -61,16 +61,60 @@ TEST(PathTranslation, TranslatedConfigsGiveBitwiseEqualCycleProbabilities) {
     expect_bitwise_equal(solve(config_with_slots({5, 6}), two, kernel), base);
     expect_bitwise_equal(solve(config_with_slots({18, 19}), two, kernel),
                          base);
-    // Three hops, in order, spread out and out of order (an extra cycle).
-    const std::vector<double> three{0.83, 0.91, 0.87};
-    for (const auto& [slots, shifted] :
-         std::vector<std::pair<std::vector<net::SlotNumber>,
-                               std::vector<net::SlotNumber>>>{
-             {{1, 2, 3}, {4, 5, 6}},
-             {{1, 6, 9}, {7, 12, 15}},
-             {{7, 1, 15}, {9, 3, 17}}}) {
-      expect_bitwise_equal(solve(config_with_slots(shifted), three, kernel),
-                           solve(config_with_slots(slots), three, kernel));
+  }
+}
+
+TEST(PathTranslation, ShiftedLayoutsGiveBitwiseEqualMeasures) {
+  const std::vector<double> three{0.83, 0.91, 0.87};
+  const SteadyStateLinks links(three);
+  struct Layout {
+    std::vector<net::SlotNumber> slots;
+    std::vector<net::SlotNumber> shifted;
+    double shift_ms;
+  };
+  // Three hops, in order, spread out and out of order (an extra cycle).
+  const std::vector<Layout> layouts{{{1, 2, 3}, {4, 5, 6}, 30.0},
+                                    {{1, 6, 9}, {7, 12, 15}, 60.0},
+                                    {{7, 1, 15}, {9, 3, 17}, 20.0}};
+  for (const TransientKernel kernel : kKernels) {
+    SCOPED_TRACE(static_cast<int>(kernel));
+    PathAnalysisOptions options;
+    options.kernel = kernel;
+    for (const Layout& layout : layouts) {
+      const PathModelConfig config = config_with_slots(layout.slots);
+      const PathModelConfig shifted = config_with_slots(layout.shifted);
+      const PathTransientResult base = solve(config, three, kernel);
+      expect_bitwise_equal(solve(shifted, three, kernel), base);
+      // The solve-then-measures split that analyze_network runs equals
+      // the direct path-model route bit for bit.
+      const PathMeasures a = measures_from_transient(config, base);
+      const PathMeasures direct =
+          compute_path_measures(PathModel(config), links, options);
+      EXPECT_EQ(a.cycle_probabilities, direct.cycle_probabilities);
+      EXPECT_EQ(a.reachability, direct.reachability);
+      EXPECT_EQ(a.discard_probability, direct.discard_probability);
+      EXPECT_EQ(a.delays_ms, direct.delays_ms);
+      EXPECT_EQ(a.delay_distribution, direct.delay_distribution);
+      EXPECT_EQ(a.expected_delay_ms, direct.expected_delay_ms);
+      EXPECT_EQ(a.expected_transmissions, direct.expected_transmissions);
+      EXPECT_EQ(a.utilization, direct.utilization);
+      EXPECT_EQ(a.utilization_delivered, direct.utilization_delivered);
+      EXPECT_EQ(a.expected_intervals_to_first_loss,
+                direct.expected_intervals_to_first_loss);
+      EXPECT_EQ(a.delay_jitter_ms, direct.delay_jitter_ms);
+      // The shifted layout keeps every measure but the delays, which
+      // move with its gateway slot.
+      const PathMeasures b =
+          measures_from_transient(shifted, solve(shifted, three, kernel));
+      EXPECT_EQ(b.cycle_probabilities, a.cycle_probabilities);
+      EXPECT_EQ(b.delay_distribution, a.delay_distribution);
+      EXPECT_EQ(b.utilization, a.utilization);
+      EXPECT_EQ(b.utilization_delivered, a.utilization_delivered);
+      ASSERT_EQ(b.delays_ms.size(), a.delays_ms.size());
+      for (std::size_t i = 0; i < a.delays_ms.size(); ++i)
+        EXPECT_DOUBLE_EQ(b.delays_ms[i] - a.delays_ms[i], layout.shift_ms);
+      EXPECT_NEAR(b.expected_delay_ms - a.expected_delay_ms, layout.shift_ms,
+                  1e-9);
     }
   }
 }
