@@ -1,7 +1,9 @@
 // Fig. 6: transient probabilities of the goal states of the example
 // three-hop path (Fup = 7, Is = 4, pi(up) = 0.75) over the 28 uplink
-// slots of one reporting interval.
+// slots of one reporting interval, read off the paper's Algorithm 1
+// chain (PathModel::to_dtmc) stepped slot by slot.
 #include "bench_common.hpp"
+#include "whart/markov/transient.hpp"
 
 int main() {
   using namespace whart;
@@ -15,14 +17,24 @@ int main() {
   const hart::SteadyStateLinks links(
       3, link::LinkModel::from_availability(0.75));
   const hart::PathTransientResult result = model.analyze(links);
+  const markov::Dtmc chain = model.to_dtmc(links);
+  const std::vector<linalg::Vector> trajectory =
+      markov::distribution_trajectory(
+          chain,
+          markov::point_distribution(chain.num_states(),
+                                     model.initial_state()),
+          model.config().horizon());
+  std::vector<markov::StateIndex> goals;
+  for (std::uint32_t cycle = 1; cycle <= 4; ++cycle)
+    goals.push_back(*chain.find_state(model.goal_state_name(cycle)));
 
   Table table({"t (slots)", "R7", "R14", "R21", "R28"});
   for (std::uint32_t t = 0; t <= 28; t += 1) {
     table.add_row({std::to_string(t),
-                   Table::fixed(result.goal_trajectory[t][0], 5),
-                   Table::fixed(result.goal_trajectory[t][1], 5),
-                   Table::fixed(result.goal_trajectory[t][2], 5),
-                   Table::fixed(result.goal_trajectory[t][3], 5)});
+                   Table::fixed(trajectory[t][goals[0]], 5),
+                   Table::fixed(trajectory[t][goals[1]], 5),
+                   Table::fixed(trajectory[t][goals[2]], 5),
+                   Table::fixed(trajectory[t][goals[3]], 5)});
   }
   table.print(std::cout);
 

@@ -1,5 +1,6 @@
 // Block layout of the channel-enlarged path chain (DESIGN.md §12),
-// shared by the per-slot channel walk and the dense cycle collapse.
+// shared by the per-slot walk, the dense cycle collapse and the
+// reachability adjoint.
 // State off[h] + s means "waiting at hop h with its channel in state s";
 // Goal and Discard follow the last hop block.  A hop without a channel
 // (or a layout built for an i.i.d. provider) is a one-state block whose
@@ -41,6 +42,13 @@ struct ChannelLayout {
   [[nodiscard]] bool mixes(std::size_t h) const {
     return channel[h] != nullptr && k[h] > 1;
   }
+
+  /// True when any hop block mixes (false for every i.i.d. path).
+  [[nodiscard]] bool any_mixes() const {
+    for (std::size_t h = 0; h < k.size(); ++h)
+      if (mixes(h)) return true;
+    return false;
+  }
 };
 
 /// Layout of `config` under `links`.  `enlarged` = false ignores any
@@ -68,9 +76,10 @@ inline ChannelLayout make_layout(const PathModelConfig& config,
   return layout;
 }
 
-/// Success probability of an attempt on hop `h` in channel state `s`
-/// (uplink slot `slot`, frozen from the first cycle for cycle-stationary
-/// providers).
+/// Success probability of an attempt on hop `h` in channel state `s` in
+/// uplink slot `slot` (global, 1-based; the collapse passes the slot of
+/// the first cycle, which every cycle repeats under a cycle-stationary
+/// provider).
 inline double success_probability(const ChannelLayout& layout,
                                   const LinkProbabilityProvider& links,
                                   const PathModelConfig& config,
@@ -81,5 +90,17 @@ inline double success_probability(const ChannelLayout& layout,
   return links.up_probability(
       h, config.superframe.absolute_slot_of_uplink(slot));
 }
+
+/// The per-slot walk's stored backward delivery recursion: entry
+/// t * layout.transient + x, for t = 0..TTL, is the probability that a
+/// message in transient state x just before uplink slot t + 1 is
+/// eventually delivered (row TTL is all 0: the TTL discard has swept
+/// every transient state).  A channel block mixes through its transition
+/// matrix once per elapsed 10 ms slot, downlink slots included;
+/// `inject_state_leak` conditions failed attempts on the stationary
+/// distribution instead, as PathAnalysisOptions describes.
+[[nodiscard]] std::vector<double> delivery_probabilities(
+    const PathModelConfig& config, const ChannelLayout& layout,
+    const LinkProbabilityProvider& links, bool inject_state_leak);
 
 }  // namespace whart::hart::detail

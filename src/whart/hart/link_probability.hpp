@@ -34,13 +34,13 @@ class LinkProbabilityProvider {
   /// — the precondition of the dense cycle collapse
   /// (hart::analyze_collapsed).  Providers whose probabilities evolve
   /// over time (transient links, scripted failures) must keep the
-  /// default false; PathModel then falls back to the per-slot solve.
+  /// default false; analyze_path then falls back to the per-slot solve.
   [[nodiscard]] virtual bool cycle_stationary() const { return false; }
 
   /// The finite-state Markov channel behind hop `hop`, or nullptr when
   /// the hop is per-slot independent.  When any hop returns a channel
-  /// with more than one state, PathModel enlarges its DTMC so the hop
-  /// carries the channel state (hart/path_model_channel.cpp) and
+  /// with more than one state, the path solvers enlarge their chain so
+  /// the hop carries the channel state (hart/channel_layout.hpp) and
   /// up_probability is interpreted as the channel's stationary marginal
   /// success (used by the i.i.d. code paths a degenerate channel must
   /// reproduce).

@@ -17,8 +17,8 @@ PathMeasures compute_path_measures(const PathModel& model,
 PathMeasures compute_path_measures(const PathModel& model,
                                    const LinkProbabilityProvider& links,
                                    const PathAnalysisOptions& options) {
-  return measures_from_transient(model.config(),
-                                 model.analyze(links, options));
+  return measures_from_transient(
+      model.config(), analyze_path(model.config(), links, options));
 }
 
 PathMeasures measures_from_transient(const PathModelConfig& config,

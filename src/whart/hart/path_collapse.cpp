@@ -73,7 +73,7 @@ class CycleWalk {
       block_states += layout_.k[f.hop];
       block_entries += layout_.k[f.hop] * layout_.k[f.hop];
     }
-    for (std::size_t h = 0; h < hops; ++h) mixing_ |= layout_.mixes(h);
+    mixing_ = layout_.any_mixes();
     success_.reserve(block_states);
     if (mixing_) failure_.reserve(block_entries);
     for (Firing& f : firings_) {

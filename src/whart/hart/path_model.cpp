@@ -8,8 +8,12 @@
 
 #include "whart/common/contracts.hpp"
 #include "whart/common/obs.hpp"
+#include "whart/hart/channel_layout.hpp"
+#include "whart/linalg/sparse.hpp"
 
 namespace whart::hart {
+
+using detail::success_probability;
 
 namespace {
 constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
@@ -95,139 +99,228 @@ PathModel::PathModel(PathModelConfig config) : config_(std::move(config)) {
 
 PathTransientResult PathModel::analyze(
     const LinkProbabilityProvider& links) const {
-  return analyze(links, PathAnalysisOptions{});
-}
-
-PathTransientResult PathModel::analyze(
-    const LinkProbabilityProvider& links,
-    const PathAnalysisOptions& options) const {
-  if (options.kernel == TransientKernel::kSuperframeProduct) {
-    if (links.cycle_stationary())
-      return analyze_collapsed(config_, links, options);
-    WHART_COUNT("hart.path_solve.kernel_fallback");
-  }
-  if (channel_enlarged(links, config_.hop_count()))
-    return analyze_channel_per_slot(links, options);
-  return analyze_per_slot(links);
+  return analyze_per_slot(config_, links);
 }
 
 PathTransientResult analyze_path(const PathModelConfig& config,
                                  const LinkProbabilityProvider& links,
                                  const PathAnalysisOptions& options) {
-  if (options.kernel == TransientKernel::kSuperframeProduct &&
-      links.cycle_stationary())
-    return analyze_collapsed(config, links, options);
-  return PathModel(config).analyze(links, options);
+  if (options.kernel == TransientKernel::kSuperframeProduct) {
+    if (links.cycle_stationary())
+      return analyze_collapsed(config, links, options);
+    WHART_COUNT("hart.path_solve.kernel_fallback");
+  }
+  return analyze_per_slot(config, links, options);
 }
 
-PathTransientResult PathModel::analyze_per_slot(
-    const LinkProbabilityProvider& links) const {
+namespace detail {
+
+std::vector<double> delivery_probabilities(
+    const PathModelConfig& config, const ChannelLayout& layout,
+    const LinkProbabilityProvider& links, bool inject_state_leak) {
+  const std::size_t hops = config.hop_count();
+  const std::size_t n = layout.transient;
+  const std::uint32_t frame = config.superframe.uplink_slots;
+  const std::uint32_t ttl = config.effective_ttl();
+  const bool mixing = layout.any_mixes();
+  std::vector<double> v((static_cast<std::size_t>(ttl) + 1) * n, 0.0);
+  std::vector<double> after(mixing ? n : 0, 0.0);
+  std::vector<double> mixed(mixing ? n : 0, 0.0);
+  // value[x] of entering hop h's block as a fresh stationary draw.
+  const auto entry = [&](const double* value, std::size_t h) {
+    if (!layout.mixes(h)) return value[layout.off[h]];
+    double acc = 0.0;
+    for (std::size_t s = 0; s < layout.k[h]; ++s)
+      acc += layout.stationary(h, s) * value[layout.off[h] + s];
+    return acc;
+  };
+  for (std::uint32_t t = ttl; t-- > 0;) {
+    const std::uint32_t slot = t + 1;
+    double* here = v.data() + static_cast<std::size_t>(t) * n;
+    // w: the delivery probabilities right after this slot, i.e. the next
+    // row pulled back through the downlink half when the slot ends a
+    // frame (one-state blocks are unchanged by it).
+    const double* w = here + n;
+    if (mixing && slot % frame == 0 && slot < ttl) {
+      std::copy(w, w + n, after.begin());
+      for (std::uint32_t d = 0; d < config.superframe.downlink_slots; ++d)
+        for (std::size_t h = 0; h < hops; ++h) {
+          if (!layout.mixes(h)) continue;
+          const std::size_t off = layout.off[h];
+          for (std::size_t s = 0; s < layout.k[h]; ++s) {
+            double acc = 0.0;
+            for (std::size_t s2 = 0; s2 < layout.k[h]; ++s2)
+              acc += layout.transition(h, s, s2) * after[off + s2];
+            mixed[off + s] = acc;
+          }
+          std::copy_n(mixed.begin() + off, layout.k[h], after.begin() + off);
+        }
+      w = after.data();
+    }
+    const std::optional<std::size_t> firing = config.hop_in_slot(slot);
+    for (std::size_t h = 0; h < hops; ++h) {
+      const std::size_t off = layout.off[h];
+      if (firing == h) {
+        const double success = h + 1 == hops ? 1.0 : entry(w, h + 1);
+        for (std::size_t s = 0; s < layout.k[h]; ++s) {
+          const double q =
+              success_probability(layout, links, config, h, s, slot);
+          double failure = w[off + s];
+          if (layout.mixes(h)) {
+            failure = 0.0;
+            for (std::size_t s2 = 0; s2 < layout.k[h]; ++s2)
+              failure += (inject_state_leak ? layout.stationary(h, s2)
+                                            : layout.transition(h, s, s2)) *
+                         w[off + s2];
+          }
+          here[off + s] = q * success + (1.0 - q) * failure;
+        }
+      } else if (layout.mixes(h)) {
+        for (std::size_t s = 0; s < layout.k[h]; ++s) {
+          double acc = 0.0;
+          for (std::size_t s2 = 0; s2 < layout.k[h]; ++s2)
+            acc += layout.transition(h, s, s2) * w[off + s2];
+          here[off + s] = acc;
+        }
+      } else {
+        here[off] = w[off];
+      }
+    }
+  }
+  return v;
+}
+
+}  // namespace detail
+
+PathTransientResult analyze_per_slot(const PathModelConfig& config,
+                                     const LinkProbabilityProvider& links,
+                                     const PathAnalysisOptions& options) {
   WHART_SPAN("path_solve");
-  expects(links.hop_count() >= config_.hop_count(),
+  config.validate();
+  expects(links.hop_count() >= config.hop_count(),
           "provider covers every hop");
 #ifndef WHART_OBS_DISABLED
   const bool timed = common::obs::metrics_enabled();
   const auto solve_start = timed ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
 #endif
-  const std::size_t hops = config_.hop_count();
-  const std::uint32_t ttl = config_.effective_ttl();
-  const std::uint32_t horizon = config_.horizon();
+  const std::size_t hops = config.hop_count();
+  const std::uint32_t frame = config.superframe.uplink_slots;
+  const std::uint32_t ttl = config.effective_ttl();
+  const bool enlarged = channel_enlarged(links, hops);
+  const detail::ChannelLayout layout =
+      detail::make_layout(config, links, enlarged);
+  const std::size_t n = layout.transient;
+  const bool mixing = layout.any_mixes();
+  const std::vector<double> delivery = detail::delivery_probabilities(
+      config, layout, links, options.inject_channel_state_leak);
 
   PathTransientResult result;
-  result.cycle_probabilities.assign(config_.reporting_interval, 0.0);
+  result.cycle_probabilities.assign(config.reporting_interval, 0.0);
   result.expected_transmissions_per_hop.assign(hops, 0.0);
-  result.discard_probability = 0.0;
-  result.expected_transmissions = 0.0;
-  result.expected_transmissions_delivered = 0.0;
-  result.diagnostics = SolverDiagnostics{};
-  result.goal_trajectory.resize(horizon + 1);
-  std::size_t trajectory_entry = 0;
-  const auto record_trajectory = [&] {
-    result.goal_trajectory[trajectory_entry++].assign(
-        result.cycle_probabilities.begin(), result.cycle_probabilities.end());
-  };
-  record_trajectory();
 
-  // Backward pass: beta[t][h] = P(eventual delivery | at (t, h) before
-  // slot t+1).  Needed to attribute attempts to delivered messages.
-  std::vector<double> beta(static_cast<std::size_t>(ttl) * hops, 0.0);
-  const auto beta_at = [&](std::uint32_t t, std::size_t h) -> double& {
-    return beta[static_cast<std::size_t>(t) * hops + h];
+  // Forward pass: the message starts at hop 0 with its channel
+  // stationary.  mass[x] is the transient distribution before the slot.
+  std::vector<double> mass(n, 0.0);
+  for (std::size_t s = 0; s < layout.k[0]; ++s)
+    mass[layout.off[0] + s] = layout.stationary(0, s);
+  std::vector<double> block(mixing ? n : 0, 0.0);
+  // mass <- mass * T_h on hop h's block: one 10 ms slot of its channel.
+  const auto mix = [&](std::size_t h) {
+    const std::size_t off = layout.off[h];
+    const std::size_t k = layout.k[h];
+    for (std::size_t s2 = 0; s2 < k; ++s2) {
+      double acc = 0.0;
+      for (std::size_t s = 0; s < k; ++s)
+        acc += mass[off + s] * layout.transition(h, s, s2);
+      block[s2] = acc;
+    }
+    std::copy_n(block.begin(), k, mass.begin() + off);
   };
-  for (std::uint32_t t = ttl; t-- > 0;) {
-    const std::uint32_t slot = t + 1;
-    const std::optional<std::size_t> firing = hop_in_slot(slot);
-    for (std::size_t h = 0; h < hops; ++h) {
-      const double continue_beta = slot == ttl ? 0.0 : beta_at(t + 1, h);
-      if (firing == h) {
-        const double ps = links.up_probability(
-            h, config_.superframe.absolute_slot_of_uplink(slot));
-        const double success_beta =
-            h + 1 == hops
-                ? 1.0
-                : (slot == ttl ? 0.0 : beta_at(t + 1, h + 1));
-        beta_at(t, h) = ps * success_beta + (1.0 - ps) * continue_beta;
+
+  for (std::uint32_t slot = 1; slot <= ttl; ++slot) {
+    const std::optional<std::size_t> firing = config.hop_in_slot(slot);
+    if (mixing)
+      for (std::size_t h = 0; h < hops; ++h)
+        if (h != firing && layout.mixes(h)) mix(h);
+    if (firing.has_value()) {
+      const std::size_t h = *firing;
+      const std::size_t off = layout.off[h];
+      const double* beta =
+          delivery.data() + static_cast<std::size_t>(slot - 1) * n;
+      double moved = 0.0;
+      if (!layout.mixes(h)) {
+        if (mass[off] > 0.0) {
+          const double ps =
+              success_probability(layout, links, config, h, 0, slot);
+          result.expected_transmissions += mass[off];
+          result.expected_transmissions_per_hop[h] += mass[off];
+          result.expected_transmissions_delivered += mass[off] * beta[off];
+          moved = mass[off] * ps;
+          mass[off] -= moved;
+        }
       } else {
-        beta_at(t, h) = continue_beta;
+        // Success leaves the block; failure stays, conditioned on the
+        // attempt's channel state (or, under the leak, forgetting it).
+        const std::size_t k = layout.k[h];
+        std::fill_n(block.begin(), k, 0.0);
+        for (std::size_t s = 0; s < k; ++s) {
+          const double m = mass[off + s];
+          if (m == 0.0) continue;
+          const double q =
+              success_probability(layout, links, config, h, s, slot);
+          result.expected_transmissions += m;
+          result.expected_transmissions_per_hop[h] += m;
+          result.expected_transmissions_delivered += m * beta[off + s];
+          moved += m * q;
+          for (std::size_t s2 = 0; s2 < k; ++s2)
+            block[s2] += m * (1.0 - q) *
+                         (options.inject_channel_state_leak
+                              ? layout.stationary(h, s2)
+                              : layout.transition(h, s, s2));
+        }
+        std::copy_n(block.begin(), k, mass.begin() + off);
       }
+      if (h + 1 == hops) {
+        result.cycle_probabilities[(slot - 1) / frame] += moved;  // 0-based
+      } else {
+        // The next hop's channel is a fresh stationary draw.
+        for (std::size_t s2 = 0; s2 < layout.k[h + 1]; ++s2)
+          mass[layout.off[h + 1] + s2] += moved * layout.stationary(h + 1, s2);
+      }
+    }
+    if (slot == ttl) {
+      // TTL expired: every in-flight message is discarded.
+      for (double& m : mass) {
+        result.discard_probability += m;
+        m = 0.0;
+      }
+    } else if (mixing && slot % frame == 0) {
+      for (std::uint32_t d = 0; d < config.superframe.downlink_slots; ++d)
+        for (std::size_t h = 0; h < hops; ++h)
+          if (layout.mixes(h)) mix(h);
     }
   }
 
-  std::vector<double> mass(hops, 0.0);
-  mass[0] = 1.0;
-
-  for (std::uint32_t slot = 1; slot <= horizon; ++slot) {
-    if (slot <= ttl) {
-      if (const auto firing = hop_in_slot(slot); firing.has_value()) {
-        const std::size_t h = *firing;
-        if (mass[h] > 0.0) {
-          const double ps = links.up_probability(
-              h, config_.superframe.absolute_slot_of_uplink(slot));
-          result.expected_transmissions += mass[h];
-          result.expected_transmissions_per_hop[h] += mass[h];
-          result.expected_transmissions_delivered +=
-              mass[h] * beta_at(slot - 1, h);
-          const double moved = mass[h] * ps;
-          mass[h] -= moved;
-          if (h + 1 == hops) {
-            const std::uint32_t cycle =
-                (slot - 1) / config_.superframe.uplink_slots;  // 0-based
-            result.cycle_probabilities[cycle] += moved;
-          } else {
-            mass[h + 1] += moved;
-          }
-        }
-      }
-      if (slot == ttl) {
-        // TTL expired: every in-flight message is discarded.
-        for (double& m : mass) {
-          result.discard_probability += m;
-          m = 0.0;
-        }
-      }
-    }
-    record_trajectory();
-  }
-
-  result.diagnostics.dtmc_states = num_states_;
-  result.diagnostics.transient_states = num_transient_;
-  result.diagnostics.absorbing_states = config_.reporting_interval + 1;
-  result.diagnostics.forward_steps = horizon;
+  SolverDiagnostics& d = result.diagnostics;
+  d.dtmc_states = layout.dim;
+  d.transient_states = n;
+  d.absorbing_states = 2;
+  d.forward_steps = config.horizon();
   const double goal_mass =
       std::accumulate(result.cycle_probabilities.begin(),
                       result.cycle_probabilities.end(), 0.0);
-  result.diagnostics.mass_residual =
-      std::abs(1.0 - goal_mass - result.discard_probability);
+  d.mass_residual = std::abs(1.0 - goal_mass - result.discard_probability);
   WHART_COUNT("hart.path_solve.count");
-  WHART_OBSERVE("hart.path_solve.states", num_states_);
-  WHART_EVENT(kSolveDone, "hart.path_solve", num_states_, 0);
+  if (enlarged) WHART_COUNT("hart.path_solve.channel");
+  WHART_OBSERVE("hart.path_solve.states", layout.dim);
+  WHART_EVENT(kSolveDone, "hart.path_solve", layout.dim, 0);
 #ifndef WHART_OBS_DISABLED
   if (timed) {
     const auto elapsed = std::chrono::steady_clock::now() - solve_start;
-    result.diagnostics.solve_ns = static_cast<std::uint64_t>(
+    d.solve_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    WHART_OBSERVE("hart.path_solve.ns", result.diagnostics.solve_ns);
+    WHART_OBSERVE("hart.path_solve.ns", d.solve_ns);
   }
 #endif
   return result;

@@ -23,18 +23,17 @@
 
 #include "whart/hart/link_probability.hpp"
 #include "whart/linalg/matrix.hpp"
-#include "whart/linalg/sparse.hpp"
 #include "whart/markov/dtmc.hpp"
 #include "whart/net/schedule.hpp"
 #include "whart/net/superframe.hpp"
 
 namespace whart::hart {
 
-/// Which transient solver answers PathModel::analyze.
+/// Which transient solver answers analyze_path.
 enum class TransientKernel {
   /// Forward propagation, one step per uplink slot — the paper's Eq. 5
-  /// read off directly.  Works under every link regime and is the
-  /// reference the collapse is checked against.
+  /// read off directly (analyze_per_slot).  Works under every link
+  /// regime and is the reference the collapse is checked against.
   kPerSlot,
 
   /// Dense firing-only cycle collapse (analyze_collapsed, DESIGN.md
@@ -49,7 +48,7 @@ enum class TransientKernel {
   kSuperframeProduct,
 };
 
-/// Per-solve knobs of PathModel::analyze and compute_path_measures.
+/// Per-solve knobs of analyze_path and compute_path_measures.
 struct PathAnalysisOptions {
   TransientKernel kernel = TransientKernel::kPerSlot;
 
@@ -60,13 +59,13 @@ struct PathAnalysisOptions {
   /// prove it catches a bad cycle-matrix build.  Always 0 in production.
   double inject_product_error = 0.0;
 
-  /// Verification-harness fault injection: in the channel-enlarged
-  /// solvers, redistribute the failure mass of every firing row by the
-  /// channel's *stationary* distribution instead of the conditioned
-  /// transition row — i.e. forget that a failed attempt is evidence of
-  /// a bad channel state.  The classic bug a correlated-channel solver
-  /// can have; the oracle's channel arm must catch it.  Always false in
-  /// production.
+  /// Verification-harness fault injection: in channel-enlarged solves
+  /// (either kernel), redistribute the failure mass of every firing row
+  /// by the channel's *stationary* distribution instead of the
+  /// conditioned transition row — i.e. forget that a failed attempt is
+  /// evidence of a bad channel state.  The classic bug a
+  /// correlated-channel solver can have; the oracle's channel arm must
+  /// catch it.  Always false in production.
   bool inject_channel_state_leak = false;
 };
 
@@ -135,7 +134,9 @@ struct PathModelConfig {
 /// run can report where its DTMC work went.  Structural fields are
 /// deterministic; `solve_ns` is wall-clock (0 when metrics are off).
 struct SolverDiagnostics {
-  /// States of the unrolled chain (transient + Is goals + Discard).
+  /// States of the compact message chain both kernels solve: the sum of
+  /// the hops' channel state counts (one per i.i.d. hop), then Goal and
+  /// Discard.  PathModel::state_count() gives the unrolled chain's size.
   std::size_t dtmc_states = 0;
   std::size_t transient_states = 0;
   std::size_t absorbing_states = 0;
@@ -152,10 +153,7 @@ struct SolverDiagnostics {
 
   /// Solver that actually produced this result.  kSuperframeProduct only
   /// when the collapse ran; a cycle-stationarity fallback reports
-  /// kPerSlot.  For kSuperframeProduct the state-count fields above
-  /// describe the compact message chain (sum of the hops' channel state
-  /// counts + Goal + Discard) the collapse operates on, not the unrolled
-  /// chain.
+  /// kPerSlot.
   TransientKernel kernel = TransientKernel::kPerSlot;
 };
 
@@ -167,13 +165,6 @@ struct PathTransientResult {
 
   /// Probability of the Discard state at the end of the interval.
   double discard_probability = 0.0;
-
-  /// goal_trajectory[t][i]: transient probability of goal state i after
-  /// t uplink slots, t = 0..horizon — the data behind the paper's
-  /// Fig. 6.  Only the per-slot walks record it; the collapse leaves it
-  /// empty (at a cycle boundary k it would read (g_1..g_k, 0..0), which
-  /// cycle_probabilities already holds, at O(Is^2) memory).
-  std::vector<std::vector<double>> goal_trajectory;
 
   /// Expected number of transmission attempts during the interval (the
   /// exact basis of the utilization measure).
@@ -204,35 +195,10 @@ class PathModel {
     return config_;
   }
 
-  /// Exact transient analysis (paper Eq. 5) by forward propagation over
-  /// the unrolled chain, with per-slot success probabilities from `links`.
+  /// Exact transient analysis (paper Eq. 5): analyze_per_slot on this
+  /// model's config.
   [[nodiscard]] PathTransientResult analyze(
       const LinkProbabilityProvider& links) const;
-
-  /// Transient analysis with solver selection.  kSuperframeProduct runs
-  /// analyze_collapsed when `links` is cycle-stationary and otherwise
-  /// falls back to the per-slot solve (recorded in diagnostics.kernel
-  /// and an obs counter).  A provider with a multi-state channel on any
-  /// hop solves the channel-enlarged chain under either kernel.
-  [[nodiscard]] PathTransientResult analyze(
-      const LinkProbabilityProvider& links,
-      const PathAnalysisOptions& options) const;
-
-  /// The cycle_slots() per-slot transition matrices of one cycle over
-  /// the channel-enlarged chain (DESIGN.md §12): states
-  /// off[h]..off[h]+k_h-1 are "waiting at hop h in channel state s"
-  /// (k_h = hop h's ChannelModel state count, 1 when the hop has none),
-  /// followed by Goal and Discard.  Every slot — idle uplink and
-  /// downlink included — mixes each hop's channel block through its
-  /// transition matrix; a firing slot splits the block row into success
-  /// q_s times a fresh stationary draw of the next hop's channel (exact,
-  /// because per-link chains are independent and started stationary) and
-  /// failure (1 - q_s) times the conditioned transition row.  With
-  /// `inject_state_leak` the failure mass is redistributed by the
-  /// stationary distribution instead — the channel-state-leak fault the
-  /// oracle must catch.  The per-slot channel walk steps through these.
-  [[nodiscard]] std::vector<linalg::CsrMatrix> channel_slot_matrices(
-      const LinkProbabilityProvider& links, bool inject_state_leak) const;
 
   /// Materialize the underlying DTMC (the output of the paper's
   /// Algorithm 1) with transition probabilities frozen from `links`.
@@ -259,15 +225,6 @@ class PathModel {
   }
 
  private:
-  /// The i.i.d. per-slot core (Eq. 5 with a backward delivery pass).
-  [[nodiscard]] PathTransientResult analyze_per_slot(
-      const LinkProbabilityProvider& links) const;
-
-  /// The channel-enlarged per-slot core (path_model_channel.cpp).
-  [[nodiscard]] PathTransientResult analyze_channel_per_slot(
-      const LinkProbabilityProvider& links,
-      const PathAnalysisOptions& options) const;
-
   PathModelConfig config_;
   /// state_index_[t][h] for t = 0..ttl-1: dense index of transient state
   /// (t, h), or SIZE_MAX when unreachable.
@@ -284,11 +241,11 @@ class PathModel {
 /// i.i.d. hops and per-hop-block powers T_h^r of the channel transition
 /// matrix for channel hops — together with the per-cycle attempt and
 /// delivered-attempt accounting.  Full pre-TTL cycles then advance in
-/// one dense step each; the cycle the TTL cuts walks its firings.  The
-/// result's goal_trajectory stays empty, so memory is O(Is + dim^2).
-/// Honors inject_product_error and inject_channel_state_leak; ignores
-/// `options.kernel`.  Throws precondition_error when `links` is not
-/// cycle-stationary or does not cover every hop.
+/// one dense step each; the cycle the TTL cuts walks its firings, so
+/// memory is O(Is + dim^2).  Honors inject_product_error and
+/// inject_channel_state_leak; ignores `options.kernel`.  Throws
+/// precondition_error when `links` is not cycle-stationary or does not
+/// cover every hop.
 [[nodiscard]] PathTransientResult analyze_collapsed(
     const PathModelConfig& config, const LinkProbabilityProvider& links,
     const PathAnalysisOptions& options = {});
@@ -301,11 +258,27 @@ class PathModel {
     const PathModelConfig& config, const LinkProbabilityProvider& links,
     const PathAnalysisOptions& options = {});
 
+/// The per-slot walk (paper Eq. 5, DESIGN.md §12): forward propagation
+/// over the compact chain, one step per uplink slot up to the TTL, with
+/// per-slot success probabilities from `links` at the global slot, so
+/// time-varying providers (TransientLinks, ScriptedLinks) solve exactly.
+/// An i.i.d. hop is a one-state block that only its firing slots touch;
+/// a multi-state channel hop's block mixes through its transition matrix
+/// once per elapsed 10 ms slot, downlink slots included.  The
+/// delivered-attempt accounting reads one stored backward delivery
+/// recursion, so time and memory are O(TTL * transient states).  Honors
+/// inject_channel_state_leak; ignores `options.kernel` and
+/// inject_product_error.
+[[nodiscard]] PathTransientResult analyze_per_slot(
+    const PathModelConfig& config, const LinkProbabilityProvider& links,
+    const PathAnalysisOptions& options = {});
+
 /// Transient analysis of `config` with solver selection, the entry point
-/// of the network analysis, the sweeps and the what-if engine:
-/// analyze_collapsed when the kernel is kSuperframeProduct and `links` is
-/// cycle-stationary (no PathModel is built), otherwise
-/// PathModel(config).analyze(links, options).
+/// of the network analysis, the sweeps, the what-if engine and
+/// compute_path_measures: analyze_collapsed when the kernel is
+/// kSuperframeProduct and `links` is cycle-stationary, otherwise
+/// analyze_per_slot (a kSuperframeProduct request on a time-varying
+/// provider is counted as hart.path_solve.kernel_fallback).
 [[nodiscard]] PathTransientResult analyze_path(
     const PathModelConfig& config, const LinkProbabilityProvider& links,
     const PathAnalysisOptions& options);

@@ -23,15 +23,12 @@ namespace whart::hart {
 
 /// dR/dps per hop: how much the path's reachability rises per unit
 /// increase of hop h's per-attempt success probability (all attempts of
-/// that hop move together, as they do when its stationary availability
-/// improves).  All entries are >= 0.  kSuperframeProduct folds the
-/// adjoint cycle-by-cycle through the dense cycle matrix (one bilinear
-/// form per cycle instead of a per-slot sweep) when `links` is
-/// cycle-stationary, agreeing with the per-slot sweep to rounding;
-/// otherwise it falls back to per-slot.
+/// that hop move together — dedicated and retry slots alike — as they
+/// do when its stationary availability improves).  All entries are >= 0.
+/// One O(TTL * hops) sweep; time-varying providers are priced at their
+/// per-slot probabilities.
 std::vector<double> reachability_sensitivity(
-    const PathModel& model, const LinkProbabilityProvider& links,
-    TransientKernel kernel = TransientKernel::kPerSlot);
+    const PathModel& model, const LinkProbabilityProvider& links);
 
 /// Network-level link ranking: for every link, the summed dR/dpi over
 /// all paths using it — the total reachability (expected delivered
@@ -45,13 +42,10 @@ struct LinkSensitivity {
 /// Rank all links of a scheduled network, most valuable upgrade first.
 /// Per-path sensitivities are computed concurrently (`threads` as in
 /// common::parallel_for); the ranking is independent of the thread count.
-/// Steady-state links are cycle-stationary, so the default kernel prices
-/// every path through the collapsed adjoint.
 std::vector<LinkSensitivity> rank_link_upgrades(
     const net::Network& network, const std::vector<net::Path>& paths,
     const net::Schedule& schedule, net::SuperframeConfig superframe,
-    std::uint32_t reporting_interval, unsigned threads = 0,
-    TransientKernel kernel = TransientKernel::kSuperframeProduct);
+    std::uint32_t reporting_interval, unsigned threads = 0);
 
 class WhatIfEngine;
 

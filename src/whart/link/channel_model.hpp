@@ -7,8 +7,8 @@
 // rate; k = 1 recovers the per-slot-independent regime and k = 2 with
 // (p_good->bad, p_bad->good) is the classic Gilbert-Elliott model.
 //
-// The path solver enlarges its DTMC state space so each hop carries its
-// channel state (hart/path_model_channel.cpp); the Monte-Carlo simulator
+// The path solvers enlarge their state space so each hop carries its
+// channel state (hart/channel_layout.hpp); the Monte-Carlo simulator
 // draws from the same chain (sim::LinkRegime::kChannel), which is the
 // cross-validation target of the verify battery.
 #pragma once

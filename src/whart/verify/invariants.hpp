@@ -6,8 +6,7 @@
 //   - the goal and Discard states are absorbing and all mass is
 //     absorbed by the end of the horizon;
 //   - R + P(discard) = 1;
-//   - the delay CDF over received messages is monotone and normalized,
-//     and every goal's transient trajectory is non-decreasing in time.
+//   - the delay CDF over received messages is monotone and normalized.
 // A violation is a finding, not an exception: the checker returns all
 // of them so the fuzzer can report and shrink.
 #pragma once

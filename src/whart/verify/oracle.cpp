@@ -78,7 +78,6 @@ ProductionLeg solve_production_channel(
     const hart::PathModelConfig& config,
     const std::vector<link::ChannelModel>& channels, Injection injection,
     hart::TransientKernel kernel) {
-  const hart::PathModel model(config);
   const hart::ChannelLinks links{channels};
   hart::PathAnalysisOptions options;
   options.kernel = kernel;
@@ -87,7 +86,8 @@ ProductionLeg solve_production_channel(
   if (injection == Injection::kProductEntry &&
       kernel == hart::TransientKernel::kSuperframeProduct)
     options.inject_product_error = 1e-3;
-  hart::PathTransientResult transient = model.analyze(links, options);
+  hart::PathTransientResult transient =
+      hart::analyze_path(config, links, options);
 
   ProductionLeg leg;
   leg.discard = transient.discard_probability;
@@ -189,10 +189,9 @@ OracleReport cross_validate(const Scenario& input_scenario,
       kernel_options.kernel = hart::TransientKernel::kSuperframeProduct;
       if (config.injection == Injection::kProductEntry)
         kernel_options.inject_product_error = 1e-3;
-      const hart::PathModel model(path_config);
       const hart::SteadyStateLinks links{availabilities};
       const hart::PathTransientResult kern =
-          model.analyze(links, kernel_options);
+          hart::analyze_path(path_config, links, kernel_options);
       if (kern.diagnostics.kernel !=
           hart::TransientKernel::kSuperframeProduct)
         add_finding(p, "closure:kernel-dispatch",

@@ -4,17 +4,19 @@
 // solver to 1e-12 — across both transient kernels and across the
 // scalar/batched sweep refills — while a k = 2 general chain must match
 // the dedicated Gilbert-Elliott construction exactly.  The enlarged
-// per-slot matrices themselves are checked row-stochastic, and the
-// channel-state-leak injection must actually change them (a fault the
+// cycle matrix itself is checked row-stochastic, and the
+// channel-state-leak injection must actually change it (a fault the
 // oracle is supposed to catch had better exist).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "whart/hart/path_analysis.hpp"
 #include "whart/hart/path_model.hpp"
 #include "whart/hart/sweep.hpp"
+#include "whart/linalg/matrix.hpp"
 #include "whart/link/channel_model.hpp"
 
 namespace whart::hart {
@@ -198,36 +200,43 @@ TEST(ChannelPathModel, SweepCollapseAcrossScalarAndBatchedLanes) {
   }
 }
 
+/// Max |1 - row sum| of a dense matrix, with every entry checked >= 0.
+double max_row_sum_residual(const linalg::Matrix& m) {
+  double worst = 0.0;
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    double sum = 0.0;
+    for (std::size_t c = 0; c < m.cols(); ++c) {
+      EXPECT_GE(m(r, c), 0.0) << "row " << r << " col " << c;
+      sum += m(r, c);
+    }
+    worst = std::max(worst, std::abs(1.0 - sum));
+  }
+  return worst;
+}
+
 TEST(ChannelPathModel, EnlargedSlotMatricesAreRowStochastic) {
+  // The enlarged chain's cycle matrix (every slot of one cycle, idle
+  // and downlink mixing included) is a valid chain.
   const PathModelConfig config = retry_config();
-  const PathModel model(config);
   const ChannelLinks links(
       config.hop_count(),
       link::ChannelModel::gilbert_elliott(0.2, 0.35, 0.02, 0.65));
-  const std::vector<linalg::CsrMatrix> healthy =
-      model.channel_slot_matrices(links, /*inject_state_leak=*/false);
-  ASSERT_EQ(healthy.size(), config.superframe.cycle_slots());
-  for (std::size_t s = 0; s < healthy.size(); ++s) {
-    for (std::size_t r = 0; r < healthy[s].rows(); ++r)
-      EXPECT_NEAR(healthy[s].row_sum(r), 1.0, 1e-12)
-          << "slot " << s << " row " << r;
-  }
+  const linalg::Matrix healthy = cycle_matrix(config, links);
+  ASSERT_EQ(healthy.rows(), 3 * 2 + 2u);  // 3 hops x 2 channel states
+  EXPECT_LE(max_row_sum_residual(healthy), 1e-12);
 
-  // The leak injection must change at least one firing row — otherwise
-  // the kChannelStateLeak self-test would be vacuous.
-  const std::vector<linalg::CsrMatrix> leaky =
-      model.channel_slot_matrices(links, /*inject_state_leak=*/true);
+  // The leak injection must change the chain — otherwise the
+  // kChannelStateLeak self-test would be vacuous.
+  PathAnalysisOptions leak;
+  leak.inject_channel_state_leak = true;
+  const linalg::Matrix leaky = cycle_matrix(config, links, leak);
   double max_delta = 0.0;
-  for (std::size_t s = 0; s < healthy.size(); ++s)
-    for (std::size_t r = 0; r < healthy[s].rows(); ++r)
-      for (std::size_t c = 0; c < healthy[s].cols(); ++c)
-        max_delta = std::max(max_delta, std::abs(healthy[s].at(r, c) -
-                                                 leaky[s].at(r, c)));
+  for (std::size_t r = 0; r < healthy.rows(); ++r)
+    for (std::size_t c = 0; c < healthy.cols(); ++c)
+      max_delta = std::max(max_delta, std::abs(healthy(r, c) - leaky(r, c)));
   EXPECT_GT(max_delta, 1e-3);
   // ... while staying a valid chain itself.
-  for (const linalg::CsrMatrix& matrix : leaky)
-    for (std::size_t r = 0; r < matrix.rows(); ++r)
-      EXPECT_NEAR(matrix.row_sum(r), 1.0, 1e-12);
+  EXPECT_LE(max_row_sum_residual(leaky), 1e-12);
 }
 
 }  // namespace

@@ -94,19 +94,34 @@ TEST(PathModel, MassIsConservedAtHorizon) {
 }
 
 TEST(PathModel, GoalTrajectoryIsMonotoneStepFunction) {
+  // The Fig. 6 trajectory: the Algorithm 1 chain stepped slot by slot.
   const PathModel model(example_config(4));
   const SteadyStateLinks links(3, link::LinkModel::from_availability(0.75));
-  const PathTransientResult result = model.analyze(links);
-  ASSERT_EQ(result.goal_trajectory.size(), 29u);  // t = 0..28
-  for (std::size_t t = 1; t < result.goal_trajectory.size(); ++t)
-    for (std::size_t i = 0; i < 4; ++i)
-      EXPECT_GE(result.goal_trajectory[t][i],
-                result.goal_trajectory[t - 1][i]);
+  const markov::Dtmc chain = model.to_dtmc(links);
+  const std::vector<linalg::Vector> trajectory =
+      markov::distribution_trajectory(
+          chain,
+          markov::point_distribution(chain.num_states(),
+                                     model.initial_state()),
+          model.config().horizon());
+  ASSERT_EQ(trajectory.size(), 29u);  // t = 0..28
+  std::vector<markov::StateIndex> goals;
+  for (std::uint32_t cycle = 1; cycle <= 4; ++cycle)
+    goals.push_back(chain.find_state(model.goal_state_name(cycle)).value());
+  const auto goal = [&](std::size_t t, std::size_t i) {
+    return trajectory[t][goals[i]];
+  };
+  for (std::size_t t = 1; t < trajectory.size(); ++t)
+    for (std::size_t i = 0; i < 4; ++i) EXPECT_GE(goal(t, i), goal(t - 1, i));
   // Goal i can only fill at its cycle's gateway slot: t = 7, 14, 21, 28.
-  EXPECT_DOUBLE_EQ(result.goal_trajectory[6][0], 0.0);
-  EXPECT_GT(result.goal_trajectory[7][0], 0.0);
-  EXPECT_DOUBLE_EQ(result.goal_trajectory[13][1], 0.0);
-  EXPECT_GT(result.goal_trajectory[14][1], 0.0);
+  EXPECT_DOUBLE_EQ(goal(6, 0), 0.0);
+  EXPECT_GT(goal(7, 0), 0.0);
+  EXPECT_DOUBLE_EQ(goal(13, 1), 0.0);
+  EXPECT_GT(goal(14, 1), 0.0);
+  // At the horizon the trajectory holds the walk's cycle probabilities.
+  const PathTransientResult result = model.analyze(links);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_NEAR(goal(28, i), result.cycle_probabilities[i], 1e-15);
 }
 
 TEST(PathModel, GoalStateNamesFollowPaper) {

@@ -1,6 +1,8 @@
 #include "whart/hart/sensitivity.hpp"
 
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,25 +33,38 @@ double reachability_at(const PathModel& model,
 }
 
 TEST(Sensitivity, MatchesFiniteDifferences) {
-  const PathModel model(example_config(4));
-  const std::vector<double> base{0.9, 0.75, 0.85};
-  std::vector<link::LinkModel> links;
-  for (double pi : base)
-    links.push_back(link::LinkModel::from_availability(pi));
-  const auto adjoint =
-      reachability_sensitivity(model, SteadyStateLinks(links));
-  ASSERT_EQ(adjoint.size(), 3u);
+  // The paper's example path, and a schedule with retry slots (hop 2's
+  // retry in slot 1 fires before its dedicated slot 7): every
+  // transmission opportunity of a hop moves with its availability.
+  PathModelConfig retry;
+  retry.hop_slots = {2, 5, 7};
+  retry.retry_slots = {3, 0, 1};
+  retry.superframe = net::SuperframeConfig::symmetric(8);
+  retry.reporting_interval = 3;
+  const std::vector<std::pair<PathModelConfig, std::vector<double>>> inputs =
+      {{example_config(4), {0.9, 0.75, 0.85}}, {retry, {0.7, 0.8, 0.6}}};
+  for (const auto& [config, base] : inputs) {
+    const PathModel model(config);
+    std::vector<link::LinkModel> links;
+    for (double pi : base)
+      links.push_back(link::LinkModel::from_availability(pi));
+    const auto adjoint =
+        reachability_sensitivity(model, SteadyStateLinks(links));
+    ASSERT_EQ(adjoint.size(), 3u);
 
-  const double eps = 1e-7;
-  for (std::size_t h = 0; h < 3; ++h) {
-    std::vector<double> up = base;
-    std::vector<double> down = base;
-    up[h] += eps;
-    down[h] -= eps;
-    const double fd = (reachability_at(model, up) -
-                       reachability_at(model, down)) /
-                      (2.0 * eps);
-    EXPECT_NEAR(adjoint[h], fd, 1e-6) << "hop " << h;
+    const double eps = 1e-7;
+    for (std::size_t h = 0; h < 3; ++h) {
+      std::vector<double> up = base;
+      std::vector<double> down = base;
+      up[h] += eps;
+      down[h] -= eps;
+      const double fd = (reachability_at(model, up) -
+                         reachability_at(model, down)) /
+                        (2.0 * eps);
+      EXPECT_NEAR(adjoint[h], fd, 1e-6)
+          << "hop " << h << " (" << config.retry_slots.size()
+          << " retry slots)";
+    }
   }
 }
 

@@ -61,14 +61,15 @@ PathAnalysisOptions superframe_options() {
   return options;
 }
 
-/// Every solver output of the two kernels must agree to kTol.
+/// Every solver output of the two kernels must agree to kTol, and each
+/// must match the dense reference.
 void expect_equivalent(const PathModelConfig& config,
                        const std::vector<double>& availabilities) {
   const PathModel model(config);
   const SteadyStateLinks links{availabilities};
   const PathTransientResult per_slot = model.analyze(links);
   const PathTransientResult collapsed =
-      model.analyze(links, superframe_options());
+      analyze_path(config, links, superframe_options());
 
   ASSERT_EQ(collapsed.diagnostics.kernel, TransientKernel::kSuperframeProduct);
   ASSERT_EQ(per_slot.diagnostics.kernel, TransientKernel::kPerSlot);
@@ -77,8 +78,10 @@ void expect_equivalent(const PathModelConfig& config,
   EXPECT_EQ(direct.cycle_probabilities, collapsed.cycle_probabilities);
   EXPECT_EQ(direct.expected_transmissions_delivered,
             collapsed.expected_transmissions_delivered);
-  expect_matches_reference(collapsed,
-                           verify::reference_solve(config, availabilities));
+  const verify::ReferenceResult ref =
+      verify::reference_solve(config, availabilities);
+  expect_matches_reference(collapsed, ref);
+  expect_matches_reference(per_slot, ref);
 
   ASSERT_EQ(collapsed.cycle_probabilities.size(),
             per_slot.cycle_probabilities.size());
@@ -100,10 +103,7 @@ void expect_equivalent(const PathModelConfig& config,
                 per_slot.expected_transmissions_per_hop[h], kTol)
         << "hop " << h;
   EXPECT_LE(collapsed.diagnostics.mass_residual, 1e-12);
-  // Only the per-slot walk records the Fig. 6 trajectory.
-  EXPECT_TRUE(collapsed.goal_trajectory.empty());
-  EXPECT_EQ(per_slot.goal_trajectory.size(),
-            static_cast<std::size_t>(config.horizon()) + 1);
+  EXPECT_LE(per_slot.diagnostics.mass_residual, 1e-12);
 }
 
 TEST(SuperframeKernel, EquivalentAcrossSeededScenarioCorpus) {
@@ -356,12 +356,10 @@ TEST(SuperframeKernel, StepsNotMultipleOfPeriodUseTail) {
 }
 
 TEST(SuperframeKernel, ZeroStepsReturnsInitialUnchanged) {
-  // The collapse keeps no trajectory, and with TTL = 1 nothing beyond
-  // the first slot ever moves.
+  // With TTL = 1 nothing beyond the first slot ever moves.
   PathModelConfig config = small_config();
   const SteadyStateLinks links(std::vector<double>{0.8, 0.6});
   const PathTransientResult result = analyze_collapsed(config, links);
-  EXPECT_TRUE(result.goal_trajectory.empty());
   ASSERT_EQ(result.cycle_probabilities.size(), config.reporting_interval);
   config.ttl = 1;
   const PathTransientResult cut = analyze_collapsed(config, links);
@@ -373,28 +371,36 @@ TEST(SuperframeKernel, ZeroStepsReturnsInitialUnchanged) {
 TEST(SuperframeKernel, LongIntervalMatchesNegativeBinomialInLinearMemory) {
   // One hop that fires once per cycle: delivery in cycle i is the
   // negative-binomial g_i = p (1 - p)^(i-1).  At Is = 100 000 any
-  // per-cycle copy of the Is-long goal vector would need ~80 GB, so
-  // this also pins the collapse's memory to O(Is).
+  // per-slot or per-cycle copy of the Is-long goal vector would need
+  // hundreds of GB, so this also pins both kernels' memory to O(Is).
   constexpr double kP = 3e-5;  // (1 - p)^Is ~ e^-3: every cycle matters
   PathModelConfig config;
   config.hop_slots = {2};
   config.superframe = net::SuperframeConfig{4, 4};
   config.reporting_interval = 100000;
-  const PathTransientResult result =
-      analyze_collapsed(config, SteadyStateLinks(std::vector<double>{kP}));
-  EXPECT_TRUE(result.goal_trajectory.empty());
-  ASSERT_EQ(result.cycle_probabilities.size(), config.reporting_interval);
-  double reachability = 0.0;
-  for (std::size_t i = 0; i < result.cycle_probabilities.size(); ++i) {
-    const double expected =
-        kP * std::pow(1.0 - kP, static_cast<double>(i));
-    ASSERT_NEAR(result.cycle_probabilities[i], expected, 1e-12)
-        << "g(" << i + 1 << ")";
-    reachability += result.cycle_probabilities[i];
+  const SteadyStateLinks links(std::vector<double>{kP});
+  PathAnalysisOptions per_slot_options;
+  per_slot_options.kernel = TransientKernel::kPerSlot;
+  for (const PathAnalysisOptions& options :
+       {superframe_options(), per_slot_options}) {
+    const PathTransientResult result = analyze_path(config, links, options);
+    SCOPED_TRACE(result.diagnostics.kernel == TransientKernel::kPerSlot
+                     ? "per-slot"
+                     : "collapse");
+    EXPECT_EQ(result.diagnostics.kernel, options.kernel);
+    ASSERT_EQ(result.cycle_probabilities.size(), config.reporting_interval);
+    double reachability = 0.0;
+    for (std::size_t i = 0; i < result.cycle_probabilities.size(); ++i) {
+      const double expected =
+          kP * std::pow(1.0 - kP, static_cast<double>(i));
+      ASSERT_NEAR(result.cycle_probabilities[i], expected, 1e-12)
+          << "g(" << i + 1 << ")";
+      reachability += result.cycle_probabilities[i];
+    }
+    EXPECT_NEAR(reachability + result.discard_probability, 1.0, 1e-12);
+    EXPECT_NEAR(result.discard_probability,
+                std::pow(1.0 - kP, config.reporting_interval), 1e-12);
   }
-  EXPECT_NEAR(reachability + result.discard_probability, 1.0, 1e-12);
-  EXPECT_NEAR(result.discard_probability,
-              std::pow(1.0 - kP, config.reporting_interval), 1e-12);
 }
 
 TEST(SuperframeKernel, BatchedSolveMatchesSequentialRows) {
@@ -452,21 +458,20 @@ TEST(SuperframeKernel, RejectsEmptyAndMismatchedMatrices) {
 
 // --- correlated channels -----------------------------------------------
 
-/// Channel collapse vs the channel per-slot walk vs the dense channel
-/// reference, every output to kTol.
+/// Channel collapse vs the per-slot walk vs the dense channel reference,
+/// every output to kTol.
 void expect_channel_equivalent(
     const PathModelConfig& config,
     const std::vector<link::ChannelModel>& channels) {
-  const PathModel model(config);
   const ChannelLinks links(channels);
-  PathAnalysisOptions per_slot_options;
-  const PathTransientResult per_slot = model.analyze(links, per_slot_options);
+  const PathTransientResult per_slot = analyze_per_slot(config, links);
   const PathTransientResult collapsed =
-      model.analyze(links, superframe_options());
+      analyze_path(config, links, superframe_options());
   ASSERT_EQ(collapsed.diagnostics.kernel, TransientKernel::kSuperframeProduct);
   std::size_t enlarged = 0;
   for (const link::ChannelModel& c : channels) enlarged += c.state_count();
   EXPECT_EQ(collapsed.diagnostics.transient_states, enlarged);
+  EXPECT_EQ(per_slot.diagnostics.transient_states, enlarged);
   for (std::size_t i = 0; i < per_slot.cycle_probabilities.size(); ++i)
     expect_close(collapsed.cycle_probabilities[i],
                  per_slot.cycle_probabilities[i],
@@ -476,8 +481,10 @@ void expect_channel_equivalent(
   expect_close(collapsed.expected_transmissions_delivered,
                per_slot.expected_transmissions_delivered,
                "per-slot delivered transmissions");
-  expect_matches_reference(collapsed,
-                           verify::reference_solve_channel(config, channels));
+  const verify::ReferenceResult ref =
+      verify::reference_solve_channel(config, channels);
+  expect_matches_reference(collapsed, ref);
+  expect_matches_reference(per_slot, ref);
 }
 
 TEST(SuperframeKernel, ChannelEquivalentAcrossSeededScenarioCorpus) {

@@ -3,7 +3,8 @@
 // same point order, same CSV shape, measures equal to well below
 // reporting precision.  Plus the linspace count == 1 regression (a
 // degenerate grid is one point, not a duplicated endpoint) and the
-// collapsed sensitivity/ranking paths against their per-slot sweeps.
+// reachability adjoint and link ranking against finite differences of
+// the collapsed reachability.
 //
 // The SweepBatch / SensitivityBatch / RankLinkUpgradesBatch suite names
 // date from the batched-lane solver these checks first guarded; a
@@ -175,6 +176,34 @@ TEST(Linspace, EndpointsInclusiveForLargerCounts) {
     EXPECT_GT(grid[i], grid[i - 1]);
 }
 
+/// dR/dps_h of the collapse by finite differences: central inside
+/// [0, 1], second-order one-sided at a boundary.  The adjoint shares no
+/// code with the collapse, so agreement checks both.
+double collapsed_gradient(const PathModelConfig& config,
+                          std::vector<double> point, std::size_t h) {
+  constexpr double kStep = 1e-6;
+  const double p = point[h];
+  const auto reachability = [&](double x) {
+    point[h] = x;
+    const PathTransientResult r =
+        analyze_collapsed(config, SteadyStateLinks(point));
+    double sum = 0.0;
+    for (double g : r.cycle_probabilities) sum += g;
+    return sum;
+  };
+  if (p - kStep < 0.0)
+    return (-3.0 * reachability(p) + 4.0 * reachability(p + kStep) -
+            reachability(p + 2.0 * kStep)) /
+           (2.0 * kStep);
+  if (p + kStep > 1.0)
+    return (3.0 * reachability(p) - 4.0 * reachability(p - kStep) +
+            reachability(p - 2.0 * kStep)) /
+           (2.0 * kStep);
+  return (reachability(p + kStep) - reachability(p - kStep)) / (2.0 * kStep);
+}
+
+constexpr double kGradientTolerance = 1e-8;
+
 TEST(SensitivityBatch, LanesMatchScalarAdjointSweeps) {
   PathModelConfig config;
   config.hop_slots = {3, 6, 7};
@@ -186,38 +215,44 @@ TEST(SensitivityBatch, LanesMatchScalarAdjointSweeps) {
       {0.9, 0.75, 0.85}, {0.8, 0.8, 0.8}, {0.95, 0.7, 0.92},
       {0.7, 0.9, 0.6}, {0.85, 0.85, 0.99}, {1.0, 0.5, 0.0}};
   for (std::size_t l = 0; l < points.size(); ++l) {
-    const SteadyStateLinks links(points[l]);
-    const std::vector<double> collapsed = reachability_sensitivity(
-        model, links, TransientKernel::kSuperframeProduct);
-    const std::vector<double> per_slot =
-        reachability_sensitivity(model, links, TransientKernel::kPerSlot);
-    ASSERT_EQ(collapsed.size(), per_slot.size());
-    for (std::size_t h = 0; h < per_slot.size(); ++h)
-      expect_value_close(collapsed[h], per_slot[h],
-                         "point " + std::to_string(l) + " hop " +
-                             std::to_string(h));
+    const std::vector<double> adjoint =
+        reachability_sensitivity(model, SteadyStateLinks(points[l]));
+    ASSERT_EQ(adjoint.size(), points[l].size());
+    for (std::size_t h = 0; h < adjoint.size(); ++h)
+      EXPECT_NEAR(adjoint[h], collapsed_gradient(config, points[l], h),
+                  kGradientTolerance)
+          << "point " << l << " hop " << h;
   }
 }
 
 TEST(RankLinkUpgradesBatch, RankingMatchesScalarPath) {
+  // Each link's score is the sum, over the paths using it, of the
+  // collapsed R's finite-difference gradient at that hop.
   const net::TypicalNetwork t = net::make_typical_network(
       link::LinkModel::from_availability(0.83));
-  const std::vector<LinkSensitivity> per_slot =
-      rank_link_upgrades(t.network, t.paths, t.eta_a, t.superframe, 4, 1,
-                         TransientKernel::kPerSlot);
-  const std::vector<LinkSensitivity> collapsed =
+  const std::vector<LinkSensitivity> ranking =
       rank_link_upgrades(t.network, t.paths, t.eta_a, t.superframe, 4, 1);
-  // Compared per link: equal-score ties may order differently once the
-  // scores differ in the last bit.
-  ASSERT_EQ(collapsed.size(), per_slot.size());
-  for (const LinkSensitivity& c : collapsed) {
-    const auto match = std::find_if(
-        per_slot.begin(), per_slot.end(),
-        [&](const LinkSensitivity& s) { return s.link == c.link; });
-    ASSERT_NE(match, per_slot.end());
-    EXPECT_EQ(c.paths_using, match->paths_using) << "link " << c.link.value;
-    expect_value_close(c.total_dR_dpi, match->total_dR_dpi,
-                       "link " + std::to_string(c.link.value));
+  std::vector<double> expected(t.network.links().size(), 0.0);
+  std::vector<std::size_t> using_paths(expected.size(), 0);
+  for (std::size_t p = 0; p < t.paths.size(); ++p) {
+    const PathModelConfig config =
+        PathModelConfig::from_schedule(t.eta_a, p, t.superframe, 4);
+    std::vector<double> point;
+    for (const link::LinkModel& m : t.paths[p].hop_models(t.network))
+      point.push_back(m.steady_state_availability());
+    const std::vector<net::LinkId> hop_links =
+        t.paths[p].resolve_links(t.network);
+    for (std::size_t h = 0; h < hop_links.size(); ++h) {
+      expected[hop_links[h].value] += collapsed_gradient(config, point, h);
+      ++using_paths[hop_links[h].value];
+    }
+  }
+  ASSERT_EQ(ranking.size(), expected.size());
+  for (const LinkSensitivity& s : ranking) {
+    EXPECT_EQ(s.paths_using, using_paths[s.link.value])
+        << "link " << s.link.value;
+    EXPECT_NEAR(s.total_dR_dpi, expected[s.link.value], kGradientTolerance)
+        << "link " << s.link.value;
   }
 }
 

@@ -12,6 +12,7 @@
 #include "whart/hart/network_analysis.hpp"
 #include "whart/hart/path_analysis.hpp"
 #include "whart/link/link_model.hpp"
+#include "whart/markov/transient.hpp"
 #include "whart/net/typical_network.hpp"
 
 namespace whart {
@@ -64,11 +65,15 @@ TEST(PaperFig6, GoalStateTransientsAtEndOfInterval) {
 TEST(PaperFig6, GoalProbabilitiesFillOnlyAtGatewaySlots) {
   const PathModel model(example_path(4));
   const SteadyStateLinks links(3, LinkModel::from_availability(0.75));
-  const auto result = model.analyze(links);
+  // The Fig. 6 trajectory: the Algorithm 1 chain stepped slot by slot.
+  const markov::Dtmc chain = model.to_dtmc(links);
+  const auto trajectory = markov::distribution_trajectory(
+      chain, markov::point_distribution(chain.num_states(), 0), 28);
+  const markov::StateIndex r7 = chain.find_state("R7").value();
   // R7 fills exactly at t = 7 and stays constant.
-  EXPECT_DOUBLE_EQ(result.goal_trajectory[6][0], 0.0);
-  EXPECT_NEAR(result.goal_trajectory[7][0], 0.4219, 5e-5);
-  EXPECT_NEAR(result.goal_trajectory[28][0], 0.4219, 5e-5);
+  EXPECT_DOUBLE_EQ(trajectory[6][r7], 0.0);
+  EXPECT_NEAR(trajectory[7][r7], 0.4219, 5e-5);
+  EXPECT_NEAR(trajectory[28][r7], 0.4219, 5e-5);
 }
 
 // ---------------------------------------------------------------- Fig. 7
