@@ -2,19 +2,15 @@
 // devices with the HART-Foundation hop mix, schedule eta_a, and a
 // Monte-Carlo cross-check of the analytic measures.
 //
-// Optional flags: --metrics=<file> dumps the metrics-registry snapshot
-// as JSON; --trace=<file> records spans and dumps Chrome trace_event
-// JSON; --obs-dir=<dir> writes the full five-artifact observability
-// bundle.  Without flags the behaviour is unchanged.
-#include <fstream>
+// Optional flag: --obs-dir=<dir> writes the observability bundle
+// (metrics.json, trace.json, events.jsonl).  Without it the behaviour
+// is unchanged.
 #include <iostream>
 #include <memory>
 #include <string>
 
-#include "whart/common/obs.hpp"
 #include "whart/hart/network_analysis.hpp"
 #include "whart/net/typical_network.hpp"
-#include "whart/report/metrics_export.hpp"
 #include "whart/report/obs_dir.hpp"
 #include "whart/report/table.hpp"
 #include "whart/sim/simulator.hpp"
@@ -23,26 +19,15 @@ int main(int argc, char** argv) {
   using namespace whart;
   using report::Table;
 
-  std::string metrics_path;
-  std::string trace_path;
   std::string obs_dir;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--metrics=", 0) == 0)
-      metrics_path = arg.substr(10);
-    else if (arg.rfind("--trace=", 0) == 0)
-      trace_path = arg.substr(8);
-    else if (arg.rfind("--obs-dir=", 0) == 0)
+    if (arg.rfind("--obs-dir=", 0) == 0) {
       obs_dir = arg.substr(10);
-    else {
-      std::cerr << "usage: typical_network [--metrics=<file>] "
-                   "[--trace=<file>] [--obs-dir=<dir>]\n";
+    } else {
+      std::cerr << "usage: typical_network [--obs-dir=<dir>]\n";
       return 2;
     }
-  }
-  if (!trace_path.empty()) {
-    common::obs::set_trace_enabled(true);
-    common::obs::TraceCollector::instance().clear();
   }
   std::unique_ptr<report::ObsDirSession> obs_session;
   if (!obs_dir.empty())
@@ -103,31 +88,6 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  if (!metrics_path.empty()) {
-    std::ofstream file(metrics_path);
-    if (!file) {
-      std::cerr << "cannot write '" << metrics_path << "'\n";
-      return 1;
-    }
-    report::write_metrics_json(
-        file, common::obs::Registry::instance().snapshot(),
-        trace_path.empty()
-            ? std::vector<common::obs::SpanAggregate>{}
-            : common::obs::TraceCollector::instance().aggregate());
-    std::cout << "\nwrote metrics snapshot to " << metrics_path << "\n";
-  }
-  if (!trace_path.empty()) {
-    std::ofstream file(trace_path);
-    if (!file) {
-      std::cerr << "cannot write '" << trace_path << "'\n";
-      return 1;
-    }
-    const common::obs::TraceCollector& collector =
-        common::obs::TraceCollector::instance();
-    report::write_chrome_trace_json(file, collector.events(),
-                                    collector.flows());
-    std::cout << "wrote Chrome trace to " << trace_path << "\n";
-  }
   if (obs_session) obs_session->finish();
   return 0;
 }

@@ -36,17 +36,12 @@
 //                        scheduled over that link; prints the affected
 //                        paths' measure deltas and the new network
 //                        summary.  Not available together with --channel
-
-//   --metrics[=<file>]   dump the metrics-registry snapshot as JSON
-//                        (default file: whart_metrics.json)
-//   --trace[=<file>]     record trace spans and dump Chrome trace_event
-//                        JSON (default file: whart_trace.json); also
-//                        prints the aggregate span table
-//   --obs-dir=<dir>      full observability bundle: enables metrics,
-//                        tracing, the flight recorder and a background
-//                        sampler, then writes metrics.json, trace.json,
-//                        events.jsonl, metrics.prom and timeseries.csv
-//                        into <dir> (created if missing)
+//   --obs-dir=<dir>      the observability bundle, the only export:
+//                        enables metrics, tracing and the flight
+//                        recorder, then writes metrics.json, trace.json
+//                        and events.jsonl into <dir> (created if
+//                        missing), plus events_crash.jsonl if a contract
+//                        fails
 #include <charconv>
 #include <cmath>
 #include <cstring>
@@ -59,7 +54,6 @@
 #include <string>
 
 #include "whart/cli/spec_parser.hpp"
-#include "whart/common/obs.hpp"
 #include "whart/hart/energy.hpp"
 #include "whart/hart/network_analysis.hpp"
 #include "whart/hart/stability.hpp"
@@ -68,7 +62,6 @@
 #include "whart/net/typical_network.hpp"
 #include "whart/report/csv.hpp"
 #include "whart/report/histogram.hpp"
-#include "whart/report/metrics_export.hpp"
 #include "whart/report/obs_dir.hpp"
 #include "whart/report/table.hpp"
 #include "whart/sim/simulator.hpp"
@@ -86,8 +79,6 @@ struct Options {
   std::string sweep_path;
   std::uint32_t shards = 0;  // 0 = simulator default
   std::string channel_spec;  // empty = per-slot-independent links
-  std::string metrics_path;
-  std::string trace_path;
   std::string obs_dir;
   whart::hart::TransientKernel kernel =
       whart::hart::TransientKernel::kSuperframeProduct;
@@ -119,7 +110,6 @@ int usage() {
                "[--channel iid|ge:pgb,pbg,eg,eb|chain:<file>] "
                "[--kernel superframe|per-slot] "
                "[--what-if link=<id>:<pfl>] "
-               "[--metrics[=<file>]] [--trace[=<file>]] "
                "[--obs-dir=<dir>]\n";
   return 2;
 }
@@ -267,8 +257,8 @@ void print_what_if(const whart::cli::ParsedSpec& spec,
             << Table::fixed(what_if_measures.mean_delay_ms, 1)
             << " ms, utilization U = "
             << Table::fixed(what_if_measures.network_utilization, 4) << "\n"
-            << "incremental solver: " << resolved << " paths re-solved, "
-            << reused << " reused from cache\n";
+            << "what-if: " << resolved << " paths re-solved, " << reused
+            << " reused\n";
 }
 
 void print_analysis(const whart::cli::ParsedSpec& spec,
@@ -402,37 +392,6 @@ void print_analysis(const whart::cli::ParsedSpec& spec,
     print_what_if(spec, schedule, options);
 }
 
-/// Write the --metrics / --trace dumps after the analysis has run.
-void write_observability(const Options& options) {
-  namespace obs = whart::common::obs;
-  const std::vector<obs::SpanAggregate> spans =
-      options.trace_path.empty()
-          ? std::vector<obs::SpanAggregate>{}
-          : obs::TraceCollector::instance().aggregate();
-
-  if (!options.metrics_path.empty()) {
-    std::ofstream file(options.metrics_path);
-    if (!file)
-      throw std::runtime_error("cannot write '" + options.metrics_path + "'");
-    whart::report::write_metrics_json(file, obs::Registry::instance().snapshot(),
-                                      spans);
-    std::cout << "\nwrote metrics snapshot to " << options.metrics_path
-              << "\n";
-  }
-
-  if (!options.trace_path.empty()) {
-    std::ofstream file(options.trace_path);
-    if (!file)
-      throw std::runtime_error("cannot write '" + options.trace_path + "'");
-    const obs::TraceCollector& collector = obs::TraceCollector::instance();
-    whart::report::write_chrome_trace_json(file, collector.events(),
-                                           collector.flows());
-    std::cout << "\nSpan aggregates:\n";
-    whart::report::print_span_table(std::cout, spans);
-    std::cout << "wrote Chrome trace to " << options.trace_path << "\n";
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -478,14 +437,6 @@ int main(int argc, char** argv) {
           return usage();
       } else if (arg == "--what-if" && i + 1 < argc)
         options.what_if_spec = argv[++i];
-      else if (arg == "--metrics")
-        options.metrics_path = "whart_metrics.json";
-      else if (arg.rfind("--metrics=", 0) == 0)
-        options.metrics_path = arg.substr(10);
-      else if (arg == "--trace")
-        options.trace_path = "whart_trace.json";
-      else if (arg.rfind("--trace=", 0) == 0)
-        options.trace_path = arg.substr(8);
       else if (arg.rfind("--obs-dir=", 0) == 0)
         options.obs_dir = arg.substr(10);
       else
@@ -495,14 +446,10 @@ int main(int argc, char** argv) {
     std::cerr << "whart_cli: " << error.what() << "\n";
     return 2;
   }
-  if (!options.trace_path.empty()) {
-    whart::common::obs::set_trace_enabled(true);
-    whart::common::obs::TraceCollector::instance().clear();
-  }
 
   try {
     // The bundle session turns every surface on before the analysis and
-    // writes the five artifacts when it goes out of scope (or earlier,
+    // writes the three artifacts when it goes out of scope (or earlier,
     // at the explicit finish() below).
     std::unique_ptr<whart::report::ObsDirSession> obs_session;
     if (!options.obs_dir.empty())
@@ -530,7 +477,6 @@ int main(int argc, char** argv) {
       spec.reporting_interval = *options.interval_override;
     print_analysis(spec, options);
     if (obs_session) obs_session->finish();
-    write_observability(options);
     return 0;
   } catch (const std::exception& error) {
     std::cerr << "whart_cli: " << error.what() << "\n";

@@ -25,22 +25,17 @@
 //                        link-bias | discard-leak | cycle-shift |
 //                        product-entry | channel-state-leak (a
 //                        healthy harness must then FAIL)
-//   --metrics[=<file>]   dump the obs metrics snapshot as JSON
-//                        (default file: whart_verify_metrics.json)
-//   --obs-dir=<dir>      full observability bundle (metrics.json,
-//                        trace.json, events.jsonl, metrics.prom,
-//                        timeseries.csv) written into <dir>
+//   --obs-dir=<dir>      the observability bundle, the only export:
+//                        metrics.json, trace.json and events.jsonl
+//                        written into <dir>
 //
 // Exit status: 0 when every scenario passes, 1 on any finding, 2 on
 // usage errors.  Reproduce any reported failure with --seed <seed>
 // --runs 1.
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 
-#include "whart/common/obs.hpp"
-#include "whart/report/metrics_export.hpp"
 #include "whart/report/obs_dir.hpp"
 #include "whart/verify/runner.hpp"
 
@@ -53,7 +48,7 @@ int usage() {
                "[--channel-prob <p>] "
                "[--inject link-bias|discard-leak|cycle-shift|product-entry|"
                "channel-state-leak] "
-               "[--metrics[=<file>]] [--obs-dir=<dir>]\n";
+               "[--obs-dir=<dir>]\n";
   return 2;
 }
 
@@ -61,7 +56,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   whart::verify::VerifyConfig config;
-  std::string metrics_path;
   std::string obs_dir;
 
   for (int i = 1; i < argc; ++i) {
@@ -123,10 +117,6 @@ int main(int argc, char** argv) {
               whart::verify::Injection::kChannelStateLeak;
         else
           return usage();
-      } else if (arg == "--metrics") {
-        metrics_path = "whart_verify_metrics.json";
-      } else if (arg.starts_with("--metrics=")) {
-        metrics_path = arg.substr(std::string("--metrics=").size());
       } else if (arg.starts_with("--obs-dir=")) {
         obs_dir = arg.substr(std::string("--obs-dir=").size());
       } else {
@@ -137,7 +127,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!metrics_path.empty()) whart::common::obs::set_metrics_enabled(true);
   std::unique_ptr<whart::report::ObsDirSession> obs_session;
   if (!obs_dir.empty())
     obs_session = std::make_unique<whart::report::ObsDirSession>(obs_dir);
@@ -156,17 +145,6 @@ int main(int argc, char** argv) {
 
   for (const whart::verify::VerifyFailure& failure : report.failures)
     std::cout << failure.summary();
-
-  if (!metrics_path.empty()) {
-    std::ofstream file(metrics_path);
-    if (!file) {
-      std::cerr << "cannot write '" << metrics_path << "'\n";
-      return 2;
-    }
-    whart::report::write_metrics_json(
-        file, whart::common::obs::Registry::instance().snapshot());
-    std::cout << "wrote metrics snapshot to " << metrics_path << "\n";
-  }
 
   if (!report.ok()) {
     std::cout << report.failures.size()

@@ -3,12 +3,11 @@
 // trace spans with cross-thread causality (span ids, parent links, flow
 // records across ThreadPool boundaries), a flight recorder (EventLog —
 // fixed-size structured events in per-thread rings, dumped from the
-// contracts.hpp failure path), and a background Sampler that turns the
-// registry into a timestamped time series.  The analysis engine's hot
-// paths (path solves, the thread pool, the Monte-Carlo shards) report
-// through the macros at the bottom of this header;
-// `report/metrics_export` turns snapshots into JSON / Chrome trace /
-// Prometheus text / CSV and `whart_cli --obs-dir` writes the bundle.
+// contracts.hpp failure path).  The analysis engine's hot paths (path
+// solves, the thread pool, the Monte-Carlo shards) report through the
+// macros at the bottom of this header; `report/metrics_export` turns
+// snapshots into JSON and Chrome trace, and `--obs-dir` writes the
+// bundle.
 //
 // Cost model: metric handles are resolved once per call site (static
 // reference behind a magic-static), so the hot path is a single relaxed
@@ -30,16 +29,13 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace whart::common::obs {
@@ -169,14 +165,6 @@ struct MetricsSnapshot {
   std::map<std::string, HistogramSnapshot> histograms;
 };
 
-/// One registry snapshot with the trace-clock timestamp it was taken at
-/// (what the Sampler accumulates; `report/metrics_export` renders a
-/// vector of these as the time-series CSV).
-struct TimedMetricsSnapshot {
-  std::uint64_t t_ns = 0;  // trace_now_ns() at sampling time
-  MetricsSnapshot metrics;
-};
-
 // ---------------------------------------------------------------------
 // Registry.
 // ---------------------------------------------------------------------
@@ -234,7 +222,6 @@ enum class EventKind : std::uint16_t {
   kSolveDone,        // p0 = states, p1 = solve ns
   kStage,            // p0 = stage ns
   kContractFailure,  // recorded just before the contract exception
-  kSamplerTick,      // p0 = samples taken so far
   kTraceClear,
 };
 
@@ -527,49 +514,6 @@ class ScopedTimer {
  private:
   Histogram* histogram_;
   std::chrono::steady_clock::time_point start_{};
-};
-
-// ---------------------------------------------------------------------
-// Continuous metrics surface.
-// ---------------------------------------------------------------------
-
-/// Background thread snapshotting the registry every `interval` into a
-/// bounded timestamped ring (oldest samples dropped past `capacity`).
-/// Samples once at start and once at stop, so even runs shorter than
-/// one interval produce a two-point series.  The ring is rendered by
-/// `report::write_timeseries_csv` and the final snapshot by
-/// `report::write_prometheus_text`.
-class Sampler {
- public:
-  explicit Sampler(std::chrono::milliseconds interval,
-                   std::size_t capacity = 512);
-  ~Sampler();
-
-  Sampler(const Sampler&) = delete;
-  Sampler& operator=(const Sampler&) = delete;
-
-  /// Stop the background thread (idempotent) after one final sample.
-  void stop();
-
-  /// The accumulated series, oldest first.
-  [[nodiscard]] std::vector<TimedMetricsSnapshot> series() const;
-
-  /// Samples taken so far (monotonic; may exceed capacity).
-  [[nodiscard]] std::size_t samples() const;
-
- private:
-  void loop();
-  void take_sample();
-
-  std::chrono::milliseconds interval_;
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  bool stopped_ = false;
-  std::size_t samples_ = 0;
-  std::deque<TimedMetricsSnapshot> ring_;
-  std::thread thread_;
 };
 
 }  // namespace whart::common::obs

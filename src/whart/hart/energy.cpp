@@ -30,9 +30,8 @@ std::vector<NodeEnergy> estimate_node_energy(
   for (std::size_t p = 0; p < paths.size(); ++p) {
     const PathModelConfig config = PathModelConfig::from_schedule(
         schedule, p, superframe, reporting_interval);
-    const PathModel model(config);
     const SteadyStateLinks links(paths[p].hop_models(network));
-    const PathTransientResult result = model.analyze(links);
+    const PathTransientResult result = analyze_per_slot(config, links);
     for (std::size_t h = 0; h < paths[p].hop_count(); ++h) {
       const auto [from, to] = paths[p].hop(h);
       const double attempts = result.expected_transmissions_per_hop[h];

@@ -26,8 +26,7 @@ double scripted_failure_reachability(const PathModelConfig& config,
       hops, failed_hop,
       {link::cycle_window(0, failure_cycles,
                           config.superframe.cycle_slots())});
-  const PathModel model(config);
-  const PathTransientResult result = model.analyze(links);
+  const PathTransientResult result = analyze_per_slot(config, links);
   return std::accumulate(result.cycle_probabilities.begin(),
                          result.cycle_probabilities.end(), 0.0);
 }
@@ -69,9 +68,8 @@ std::vector<LinkFailureImpact> one_cycle_link_failure(
     const std::vector<net::LinkId> hop_links =
         paths[p].resolve_links(network);
 
-    const PathModel model(config);
     const SteadyStateLinks steady(hop_models);
-    const PathTransientResult nominal = model.analyze(steady);
+    const PathTransientResult nominal = analyze_per_slot(config, steady);
     impact.reachability_nominal =
         std::accumulate(nominal.cycle_probabilities.begin(),
                         nominal.cycle_probabilities.end(), 0.0);

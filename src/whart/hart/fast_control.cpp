@@ -18,12 +18,12 @@ std::vector<ReportingIntervalPoint> sweep_reporting_interval(
     PathModelConfig config = base_config;
     config.reporting_interval = is;
     config.ttl.reset();
-    const PathModel model(config);
     const SteadyStateLinks links(config.hop_count(),
                                  link::LinkModel::from_availability(ps));
     ReportingIntervalPoint point;
     point.reporting_interval = is;
-    point.measures = compute_path_measures(model, links);
+    point.measures =
+        measures_from_transient(config, analyze_per_slot(config, links));
     point.delivered_per_cycle = point.measures.reachability / is;
     points.push_back(std::move(point));
   }

@@ -1,5 +1,6 @@
 #include "whart/hart/path_analysis.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -42,8 +43,11 @@ PathMeasures measures_from_cycles(const PathModelConfig& config,
           "one cycle probability per cycle of the reporting interval");
   PathMeasures m;
   m.cycle_probabilities = std::move(cycle_probabilities);
-  m.reachability = std::accumulate(m.cycle_probabilities.begin(),
-                                   m.cycle_probabilities.end(), 0.0);
+  // The cycle probabilities of a near-certain path can sum to 1 plus a
+  // rounding ulp; R is a probability, so cap it (and keep discard >= 0).
+  m.reachability =
+      std::min(1.0, std::accumulate(m.cycle_probabilities.begin(),
+                                    m.cycle_probabilities.end(), 0.0));
   m.discard_probability = 1.0 - m.reachability;
 
   const double cycle_ms = config.superframe.cycle_milliseconds();

@@ -1,9 +1,8 @@
 // Export surface of the observability subsystem: metrics snapshots as
-// JSON (with quantiles, span aggregates and derived figures), Chrome
-// trace_event dumps (complete events plus cross-thread flow arrows),
-// Prometheus text exposition, and the Sampler's time-series CSV.  These
-// are the writers behind `whart_cli --metrics=<file>`, `--trace=<file>`
-// and the `--obs-dir=<dir>` bundle.
+// JSON (with quantiles, span aggregates and derived figures) and Chrome
+// trace_event dumps (complete events plus cross-thread flow arrows).
+// These are the writers behind the `--obs-dir=<dir>` bundle
+// (report/obs_dir.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -30,24 +29,5 @@ void write_metrics_json(std::ostream& out,
 void write_chrome_trace_json(
     std::ostream& out, const std::vector<common::obs::SpanRecord>& events,
     const std::vector<common::obs::FlowRecord>& flows = {});
-
-/// Prometheus text exposition format: counters (`_total` suffix),
-/// gauges, and histograms rendered as summaries (quantile labels 0.5 /
-/// 0.9 / 0.99 plus _sum/_count).  Names are prefixed `whart_` and
-/// sanitized (non-alphanumerics become '_').
-void write_prometheus_text(std::ostream& out,
-                           const common::obs::MetricsSnapshot& snapshot);
-
-/// The Sampler ring as long-format CSV: `t_ms,name,value`, one row per
-/// counter/gauge per sample; histograms expand to `.count`, `.mean`,
-/// `.p50`, `.p90`, `.p99` rows.
-void write_timeseries_csv(
-    std::ostream& out,
-    const std::vector<common::obs::TimedMetricsSnapshot>& series);
-
-/// Human-readable aggregate table: name, count, total/mean/p50/p99/
-/// min/max ms.
-void print_span_table(std::ostream& out,
-                      const std::vector<common::obs::SpanAggregate>& spans);
 
 }  // namespace whart::report

@@ -47,9 +47,9 @@ ProductionLeg solve_production(const hart::PathModelConfig& config,
   if (injection == Injection::kLinkBias)
     for (double& a : availabilities) a = std::min(1.0, a + 0.05);
 
-  const hart::PathModel model(config);
   const hart::SteadyStateLinks links{availabilities};
-  hart::PathTransientResult transient = model.analyze(links);
+  hart::PathTransientResult transient =
+      hart::analyze_per_slot(config, links);
 
   if (injection == Injection::kCycleShift &&
       transient.cycle_probabilities.size() > 1)

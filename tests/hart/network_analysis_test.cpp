@@ -157,6 +157,23 @@ TEST(NetworkAnalysis, DiagnosticsAccountForEveryPath) {
   }
 }
 
+TEST(NetworkAnalysis, LongIntervalKeepsReachabilityAProbability) {
+  // From Is = 30 the typical network's cycle probabilities sum to 1
+  // plus a rounding ulp; every path must still report R <= 1.
+  const net::TypicalNetwork t = net::make_typical_network();
+  for (const TransientKernel kernel :
+       {TransientKernel::kSuperframeProduct, TransientKernel::kPerSlot}) {
+    AnalysisOptions options;
+    options.kernel = kernel;
+    const NetworkMeasures m = analyze_network(t.network, t.paths, t.eta_a,
+                                              t.superframe, 30, options);
+    for (const PathMeasures& path : m.per_path) {
+      EXPECT_LE(path.reachability, 1.0);
+      EXPECT_GE(path.discard_probability, 0.0);
+    }
+  }
+}
+
 TEST(NetworkAnalysis, AggregateRejectsEmptyInput) {
   EXPECT_THROW(aggregate_measures({}), precondition_error);
 }

@@ -130,6 +130,19 @@ TEST(MeasuresFromCycles, SizeMismatchThrows) {
                precondition_error);
 }
 
+TEST(MeasuresFromCycles, RoundingAboveOneCapsReachabilityAtOne) {
+  // Cycle probabilities that sum to slightly above 1, as a near-certain
+  // path's solve can give: R stays a probability and discard >= 0.
+  const PathModelConfig config = example_config(2);
+  const double first = 0.6;
+  const double second = 0.4 + 1e-15;
+  ASSERT_GT(first + second, 1.0);
+  const PathMeasures m = measures_from_cycles(config, {first, second}, 3.0);
+  EXPECT_EQ(m.reachability, 1.0);
+  EXPECT_EQ(m.discard_probability, 0.0);
+  EXPECT_TRUE(std::isinf(m.expected_intervals_to_first_loss));
+}
+
 TEST(ClosedFormTransmissions, OneHopMatchesDirectSum) {
   // 1 hop, cycles g = (ps, pf ps, pf^2 ps, ...): attempts = i per cycle i.
   const std::vector<double> cycles{0.8, 0.16, 0.032, 0.0064};
